@@ -251,13 +251,19 @@ struct TableScorer<'a> {
 
 impl GlobalScorer for TableScorer<'_> {
     fn delta(&self, base: &PairSet, added: &[Pair]) -> Score {
-        let mut total = Score::ZERO;
-        for &p in added {
-            if !base.contains(p) && self.dataset.is_candidate(p) {
-                total += self.matcher.unary_of(p);
-            }
-        }
-        let in_new = |p: &Pair| base.contains(*p) || added.contains(p);
+        let mut added: Vec<Pair> = added
+            .iter()
+            .copied()
+            .filter(|&p| !base.contains(p))
+            .collect();
+        added.sort_unstable();
+        added.dedup();
+        let mut total: Score = added
+            .iter()
+            .filter(|&&p| self.dataset.is_candidate(p))
+            .map(|&p| self.matcher.unary_of(p))
+            .sum();
+        let in_new = |p: &Pair| base.contains(*p) || added.binary_search(p).is_ok();
         for e in &self.matcher.edges {
             let was_fired = e.vars.iter().all(|p| base.contains(*p));
             if !was_fired && e.vars.iter().all(in_new) {
@@ -522,6 +528,17 @@ mod tests {
         assert_eq!(scorer.delta(&empty, &chain), Score::from_weight(1.0));
         // A single chain pair alone has delta −5.
         assert_eq!(scorer.delta(&empty, &chain[..1]), Score::from_weight(-5.0));
+    }
+
+    #[test]
+    fn global_scorer_delta_counts_a_repeated_added_pair_once() {
+        let (ds, _cover, matcher, _) = paper_example();
+        let scorer = matcher.global_scorer(&ds);
+        let a1a2 = Pair::new(e(0), e(1));
+        assert_eq!(
+            scorer.delta(&PairSet::new(), &[a1a2, a1a2]),
+            Score::from_weight(-5.0)
+        );
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! Evidence is folded in before the cut: `V−` variables are deleted along
 //! with their edges; `V+` variables are contracted (removed from edges,
 //! and edges they fully satisfy become unary bonuses on the remainder).
+//! The reduced network is then cut per connected component (see
+//! [`MapSolver`]).
 
 use crate::ground::GroundModel;
 use crate::maxflow::MaxFlow;
@@ -44,12 +46,16 @@ enum State {
 /// `E(C, V+ ∪ {p})` for many `p` against the same view and evidence.
 ///
 /// `COMPUTEMAXIMAL` (Algorithm 2) issues one conditioned matcher call per
-/// undecided candidate pair; re-solving from scratch makes that the
-/// dominant cost of MMP. A probe here instead clones the solved residual
-/// network, forces the probed variable to the source side with an
-/// infinite source edge, and *augments* — incremental max-flow touches
-/// only the region the forced variable pulls in, so a probe costs a
-/// small fraction of a fresh solve.
+/// undecided candidate pair, so the per-probe cost sets MMP's speed.
+/// After the evidence is folded in, the closure network splits into
+/// connected components that share only the source and sink, and the
+/// maximal min-cut source side splits the same way: forcing `p` true can
+/// only change variables of `p`'s component (supermodular
+/// factorisation). The solver therefore keeps one small network per
+/// coupled component, solved once, and a probe arms, augments, reads and
+/// rolls back only the probed variable's component. A variable that no
+/// reduced hyperedge touches needs no network at all: it is selected iff
+/// its profit is non-negative, and forcing it true entails nothing else.
 pub struct MapSolver<'a> {
     gm: &'a GroundModel,
     state: Vec<State>,
@@ -57,27 +63,42 @@ pub struct MapSolver<'a> {
     free: Vec<u32>,
     /// var id → free index (or `u32::MAX`).
     free_index: Vec<u32>,
+    /// Max-source-side membership of the base solve, per free index.
+    base_selected: Vec<bool>,
+    /// Per free index: its component and its node in that component's
+    /// network, or `None` when no reduced hyperedge touches it.
+    place: Vec<Option<(u32, u32)>>,
+    components: Vec<Component>,
+}
+
+/// One coupled component of the conditioned closure network, with its
+/// own source and sink.
+struct Component {
+    /// Free indices of the member variables, ascending; member `i` is
+    /// node `i` of `net`.
+    members: Vec<u32>,
     net: MaxFlow,
     source: usize,
     sink: usize,
-    /// Max-source-side membership of the base solve, per free index.
-    base_selected: Vec<bool>,
-    /// Pre-allocated zero-capacity `source → free var` edges, armed to
-    /// INF one at a time by probes.
+    /// Pre-allocated zero-capacity `source → member` edges, armed to INF
+    /// one at a time by probes.
     probe_edges: Vec<u32>,
-    /// Capacity snapshot of the solved base network (probe rollback).
+    /// Capacity snapshot of the solved network (probe rollback).
     base_caps: Vec<i64>,
-    /// Whether each free var appears in a reduced hyperedge. A variable
-    /// with no edges interacts with nothing: forcing it true entails no
-    /// other pair (supermodular separability), so its probe needs no
-    /// flow computation at all. In bibliographic workloads the vast
-    /// majority of candidate pairs have no relational witnesses, making
-    /// this the dominant probe fast path.
-    coupled: Vec<bool>,
+}
+
+/// Union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
+    }
+    x
 }
 
 impl<'a> MapSolver<'a> {
-    /// Build the closure network for `gm` under `evidence` and solve it.
+    /// Fold `evidence` into `gm`, split the closure network into its
+    /// connected components, and solve each.
     pub fn new(gm: &'a GroundModel, evidence: &Evidence) -> Self {
         let n = gm.var_count();
         let mut state = vec![State::Free; n];
@@ -117,51 +138,100 @@ impl<'a> MapSolver<'a> {
             }
         }
 
-        // Closure network.
+        // Union-find the free variables over the reduced hyperedges.
         let nf = free.len();
-        let ne = reduced.len();
-        let source = nf + ne;
-        let sink = source + 1;
-        let mut net = MaxFlow::new(sink + 1);
-        for (i, &p) in profit.iter().enumerate() {
-            if p > Score::ZERO {
-                net.add_edge(source, i, p.0);
-            } else if p < Score::ZERO {
-                net.add_edge(i, sink, -p.0);
-            }
-        }
-        for (ei, (vars, w)) in reduced.iter().enumerate() {
-            let enode = nf + ei;
-            net.add_edge(source, enode, w.0);
-            for &v in vars {
-                net.add_edge(enode, v as usize, MaxFlow::INF);
-            }
-        }
-        // One disarmed (zero-capacity) probe edge per free variable.
-        let probe_edges: Vec<u32> = (0..nf).map(|i| net.add_edge(source, i, 0)).collect();
-        net.max_flow(source, sink);
-        let selected = net.max_source_side(sink);
-        let base_selected: Vec<bool> = (0..nf).map(|i| selected[i]).collect();
-        let base_caps = net.snapshot_caps();
+        let mut parent: Vec<u32> = (0..nf as u32).collect();
         let mut coupled = vec![false; nf];
         for (vars, _) in &reduced {
+            let root = find(&mut parent, vars[0]);
             for &v in vars {
                 coupled[v as usize] = true;
+                let r = find(&mut parent, v);
+                if r != root {
+                    parent[r as usize] = root;
+                }
             }
         }
+
+        // Uncoupled variables are decided by their sign (zero ties go to
+        // the maximal side); coupled ones are grouped by root, members in
+        // ascending free index.
+        let mut base_selected: Vec<bool> = profit.iter().map(|&p| p >= Score::ZERO).collect();
+        let mut place: Vec<Option<(u32, u32)>> = vec![None; nf];
+        let mut component_of_root = vec![u32::MAX; nf];
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for fi in 0..nf {
+            if !coupled[fi] {
+                continue;
+            }
+            let root = find(&mut parent, fi as u32) as usize;
+            if component_of_root[root] == u32::MAX {
+                component_of_root[root] = members.len() as u32;
+                members.push(Vec::new());
+            }
+            let c = component_of_root[root];
+            place[fi] = Some((c, members[c as usize].len() as u32));
+            members[c as usize].push(fi as u32);
+        }
+        let mut edges_of: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
+        for (ei, (vars, _)) in reduced.iter().enumerate() {
+            let root = find(&mut parent, vars[0]) as usize;
+            edges_of[component_of_root[root] as usize].push(ei);
+        }
+
+        // One closure network per coupled component.
+        let components: Vec<Component> = members
+            .into_iter()
+            .zip(edges_of)
+            .map(|(members, edge_ids)| {
+                let m = members.len();
+                let source = m + edge_ids.len();
+                let sink = source + 1;
+                let mut net = MaxFlow::new(sink + 1);
+                for (i, &fi) in members.iter().enumerate() {
+                    let p = profit[fi as usize];
+                    if p > Score::ZERO {
+                        net.add_edge(source, i, p.0);
+                    } else if p < Score::ZERO {
+                        net.add_edge(i, sink, -p.0);
+                    }
+                }
+                for (k, &ei) in edge_ids.iter().enumerate() {
+                    let (vars, w) = &reduced[ei];
+                    let enode = m + k;
+                    net.add_edge(source, enode, w.0);
+                    for &v in vars {
+                        let (_, node) = place[v as usize].expect("edge members are coupled");
+                        net.add_edge(enode, node as usize, MaxFlow::INF);
+                    }
+                }
+                // One disarmed (zero-capacity) probe edge per member.
+                let probe_edges: Vec<u32> = (0..m).map(|i| net.add_edge(source, i, 0)).collect();
+                net.max_flow(source, sink);
+                let selected = net.max_source_side(sink);
+                for (i, &fi) in members.iter().enumerate() {
+                    base_selected[fi as usize] = selected[i];
+                }
+                let base_caps = net.snapshot_caps();
+                Component {
+                    members,
+                    net,
+                    source,
+                    sink,
+                    probe_edges,
+                    base_caps,
+                }
+            })
+            .collect();
 
         Self {
             gm,
             state,
             free,
             free_index,
-            net,
-            source,
-            sink,
             base_selected,
-            probe_edges,
-            base_caps,
-            coupled,
+            place,
+            components,
         }
     }
 
@@ -187,12 +257,13 @@ impl<'a> MapSolver<'a> {
 
     /// The pairs that forcing `extra` true *adds* beyond the base
     /// solution: `E(C, V+ ∪ {extra}) − E(C, V+)`, including `extra`
-    /// itself (empty when `extra` is already decided).
+    /// itself (empty when `extra` is already decided), in ascending
+    /// order.
     ///
-    /// Incremental: arms a pre-allocated `source → extra` edge with
-    /// infinite capacity, augments the already-solved network, extracts
-    /// the new maximal source side, and rolls the capacities back — no
-    /// network clone, no full re-solve.
+    /// Incremental and component-local: arms the pre-allocated
+    /// `source → extra` edge of `extra`'s component with infinite
+    /// capacity, augments that component's solved network, reads its new
+    /// maximal source side, and rolls its capacities back.
     pub fn probe_delta(&mut self, extra: Pair) -> Vec<Pair> {
         let Some(&v) = self.gm.index.get(&extra) else {
             return Vec::new();
@@ -205,21 +276,24 @@ impl<'a> MapSolver<'a> {
         if self.base_selected[fi] {
             return Vec::new(); // already in the maximal optimum
         }
-        if !self.coupled[fi] {
+        let Some((c, node)) = self.place[fi] else {
             // No hyperedge touches this variable: forcing it true cannot
             // change any other decision.
             return vec![extra];
-        }
-        self.net.set_cap(self.probe_edges[fi], MaxFlow::INF);
-        self.net.max_flow(self.source, self.sink);
-        let selected = self.net.max_source_side(self.sink);
-        let mut delta: Vec<Pair> = Vec::new();
-        for (i, &var) in self.free.iter().enumerate() {
-            if selected[i] && !self.base_selected[i] {
-                delta.push(self.gm.vars[var as usize]);
-            }
-        }
-        self.net.restore_caps(&self.base_caps);
+        };
+        let comp = &mut self.components[c as usize];
+        comp.net
+            .set_cap(comp.probe_edges[node as usize], MaxFlow::INF);
+        comp.net.max_flow(comp.source, comp.sink);
+        let selected = comp.net.max_source_side(comp.sink);
+        let delta: Vec<Pair> = comp
+            .members
+            .iter()
+            .zip(&selected)
+            .filter(|&(&fi, &sel)| sel && !self.base_selected[fi as usize])
+            .map(|(&fi, _)| self.gm.vars[self.free[fi as usize] as usize])
+            .collect();
+        comp.net.restore_caps(&comp.base_caps);
         delta
     }
 

@@ -233,20 +233,17 @@ impl MlnGlobalScorer {
 
 impl GlobalScorer for MlnGlobalScorer {
     fn delta(&self, base: &PairSet, added: &[Pair]) -> Score {
-        let mut total = Score::ZERO;
-        let mut added_vars: Vec<u32> = Vec::with_capacity(added.len());
-        for &p in added {
-            if base.contains(p) {
-                continue;
-            }
-            if let Some(v) = self.gm.var_of(p) {
-                added_vars.push(v);
-                total += self.gm.unary[v as usize];
-            }
-        }
+        let mut added_vars: Vec<u32> = added
+            .iter()
+            .filter(|&&p| !base.contains(p))
+            .filter_map(|&p| self.gm.var_of(p))
+            .collect();
+        added_vars.sort_unstable();
+        added_vars.dedup();
+        let mut total: Score = added_vars.iter().map(|&v| self.gm.unary[v as usize]).sum();
         let in_new = |v: u32| {
             let p = self.gm.vars[v as usize];
-            base.contains(p) || added_vars.contains(&v)
+            base.contains(p) || added_vars.binary_search(&v).is_ok()
         };
         // Each edge incident to an added var is examined once.
         let mut seen_edges: em_core::hash::FxHashSet<u32> = em_core::hash::FxHashSet::default();
@@ -367,6 +364,19 @@ mod tests {
         // Re-adding a based pair is free; a non-candidate pair is ignored.
         assert_eq!(scorer.delta(&base, &[Pair::new(e(5), e(6))]), Score::ZERO);
         assert_eq!(scorer.delta(&base, &[Pair::new(e(0), e(8))]), Score::ZERO);
+    }
+
+    #[test]
+    fn delta_counts_a_repeated_added_pair_once() {
+        let ds = example();
+        let m = matcher(&ds);
+        let scorer = m.global_scorer(&ds);
+        let empty = PairSet::new();
+        let a1a2 = Pair::new(e(0), e(1));
+        let once: PairSet = [a1a2].into_iter().collect();
+        let want = scorer.score(&once) - scorer.score(&empty);
+        assert_eq!(want, Score::from_weight(-5.0));
+        assert_eq!(scorer.delta(&empty, &[a1a2, a1a2]), want);
     }
 
     #[test]

@@ -147,51 +147,28 @@ impl MaxFlow {
         flow
     }
 
-    /// After `max_flow`, the *minimal* source side of a minimum cut:
-    /// nodes reachable from `source` in the residual graph.
-    pub fn min_cut_source_side(&self, source: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.graph.len()];
-        let mut stack = vec![source];
-        seen[source] = true;
-        while let Some(u) = stack.pop() {
-            for &ei in &self.graph[u] {
-                let e = &self.edges[ei as usize];
-                if e.cap > 0 && !seen[e.to as usize] {
-                    seen[e.to as usize] = true;
-                    stack.push(e.to as usize);
-                }
-            }
-        }
-        seen
-    }
-
     /// After `max_flow`, the *maximal* source side of a minimum cut: the
     /// complement of the nodes that can reach `sink` in the residual
     /// graph. This realizes the "largest most-likely set" tie-break of
     /// Definition 5 when used for closure problems.
     pub fn max_source_side(&self, sink: usize) -> Vec<bool> {
-        // Reverse residual reachability from the sink: v can reach sink if
-        // some residual edge v → u exists with u already reaching sink.
-        // Residual edge v → u exists iff edges[ei].cap > 0 for the edge
-        // ei: v → u; we walk backwards using the paired reverse edges.
+        // `w` reaches the sink iff some residual edge `w → u` (the paired
+        // reverse of an edge `u → w` in `graph[u]`) leads to a node `u`
+        // that already does.
         let mut reaches = vec![false; self.graph.len()];
         let mut stack = vec![sink];
         reaches[sink] = true;
         while let Some(u) = stack.pop() {
             for &ei in &self.graph[u] {
-                // Edge u → w with reverse w → u; residual w → u has
-                // capacity edges[rev].cap... we need edges INTO u with
-                // residual capacity. The reverse edge of (u → w) is
-                // (w → u); its residual capacity is edges[ei].rev's cap.
-                let rev = self.edges[ei as usize].rev as usize;
-                let w = self.edges[ei as usize].to as usize;
-                if self.edges[rev].cap > 0 && !reaches[w] {
-                    reaches[w] = true;
-                    stack.push(w);
+                let Edge { to: w, rev, .. } = self.edges[ei as usize];
+                if self.edges[rev as usize].cap > 0 && !reaches[w as usize] {
+                    reaches[w as usize] = true;
+                    stack.push(w as usize);
                 }
             }
         }
-        reaches.iter().map(|&r| !r).collect()
+        reaches.iter_mut().for_each(|r| *r = !*r);
+        reaches
     }
 }
 
@@ -253,20 +230,16 @@ mod tests {
     #[test]
     fn min_and_max_cut_sides_bracket_ties() {
         // s → a (1), a → t (1), plus isolated node b connected to t with 0
-        // demand: b can go on either side; the minimal side excludes it,
-        // the maximal side includes it.
+        // demand: b can go on either side; the maximal side includes it.
         let mut net = MaxFlow::new(4);
         let (s, a, b, t) = (0, 1, 2, 3);
         net.add_edge(s, a, 1);
         net.add_edge(a, t, 1);
         net.add_edge(b, t, 0); // zero-capacity edge: no residual to t
         let _ = net.max_flow(s, t);
-        let min_side = net.min_cut_source_side(s);
         let max_side = net.max_source_side(t);
-        assert!(!min_side[b]);
         assert!(max_side[b]);
-        // Both are valid cuts: s on source side, t on sink side.
-        assert!(min_side[s] && !min_side[t]);
+        // A valid cut: s on the source side, t on the sink side.
         assert!(max_side[s] && !max_side[t]);
     }
 

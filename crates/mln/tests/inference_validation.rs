@@ -55,11 +55,21 @@ struct RandomInstance {
 }
 
 fn instance_strategy() -> impl Strategy<Value = RandomInstance> {
-    (5u32..10).prop_flat_map(|n| {
+    sized_instance_strategy(5..10, 0..10, 1..9)
+}
+
+/// Instances with entity, coauthor-tuple and candidate-pair counts drawn
+/// from the given ranges.
+fn sized_instance_strategy(
+    n: std::ops::Range<u32>,
+    coauthors: std::ops::Range<usize>,
+    pairs: std::ops::Range<usize>,
+) -> impl Strategy<Value = RandomInstance> {
+    n.prop_flat_map(move |n| {
         (
             Just(n),
-            proptest::collection::vec((0..n, 0..n - 1), 0..10),
-            proptest::collection::vec((0..n, 0..n - 1, 1u8..=3), 1..9),
+            proptest::collection::vec((0..n, 0..n - 1), coauthors.clone()),
+            proptest::collection::vec((0..n, 0..n - 1, 1u8..=3), pairs.clone()),
             [-6000i64..1000, -6000i64..1000, 0i64..13000],
             1i64..5000,
         )
@@ -106,6 +116,48 @@ fn build(instance: &RandomInstance) -> (Dataset, MlnModel) {
             weight: Score(instance.rel_weight),
         }],
     };
+    (ds, model)
+}
+
+/// The disjoint union of `parts` (entity ids offset, no relation tuple
+/// or candidate pair across parts) under the given weights: no ground
+/// hyperedge spans two parts.
+fn build_union(
+    parts: &[RandomInstance],
+    sim_weights: [i64; 3],
+    rel_weight: i64,
+) -> (Dataset, MlnModel) {
+    let (mut ds, model) = build(&RandomInstance {
+        n: 0,
+        coauthors: Vec::new(),
+        pairs: Vec::new(),
+        sim_weights,
+        rel_weight,
+    });
+    let ty = ds.entities.intern_type("author_ref");
+    let co = model.relational[0].relation;
+    let mut offset = 0;
+    for part in parts {
+        for _ in 0..part.n {
+            ds.entities.add_entity(ty);
+        }
+        let partner = |a: u32, off: u32| (a + 1 + off) % part.n;
+        for &(a, off) in &part.coauthors {
+            let b = partner(a, off);
+            if a != b {
+                ds.relations
+                    .add_tuple(co, EntityId(offset + a), EntityId(offset + b));
+            }
+        }
+        for &(a, off, level) in &part.pairs {
+            let b = partner(a, off);
+            if a != b {
+                let p = Pair::new(EntityId(offset + a), EntityId(offset + b));
+                ds.set_similar(p, SimLevel(level));
+            }
+        }
+        offset += part.n;
+    }
     (ds, model)
 }
 
@@ -322,6 +374,58 @@ proptest! {
             let mut want = single;
             want.sort_unstable();
             prop_assert_eq!(got, want);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On a disjoint union of instances — several ground components,
+    /// some cut further by evidence — every probe equals exhaustive
+    /// enumeration under the extra positive evidence, and every delta
+    /// comes back in ascending variable order.
+    #[test]
+    fn multi_component_probes_equal_brute_force(
+        (parts, sim_weights, rel_weight, evidence_kind, pick) in (
+            proptest::collection::vec(sized_instance_strategy(4..7, 4..14, 2..6), 2..=3),
+            // Negative unaries that relational bonuses can flip, so that
+            // probes entail other pairs.
+            [-6000i64..-500, -6000i64..-500, -6000i64..-500],
+            500i64..4000,
+            0u8..4,
+            0u32..1000,
+        )
+    ) {
+        let (ds, model) = build_union(&parts, sim_weights, rel_weight);
+        let gm = ground(&model, &ds.full_view());
+        let n = gm.var_count() as u32;
+        prop_assume!((2..=16).contains(&n));
+        let positive = gm.vars[(pick % n) as usize];
+        let negative = gm.vars[((pick + 1 + (pick / n) % (n - 1)) % n) as usize];
+        let evidence = match evidence_kind {
+            0 => Evidence::none(),
+            1 => Evidence::positive([positive].into_iter().collect()),
+            2 => Evidence::new(em_core::PairSet::new(), [negative].into_iter().collect()),
+            _ => Evidence::new(
+                [positive].into_iter().collect(),
+                [negative].into_iter().collect(),
+            ),
+        };
+        let mut solver = em_mln::MapSolver::new(&gm, &evidence);
+        for &probe in &gm.vars {
+            let delta = solver.probe_delta(probe);
+            prop_assert!(
+                delta.windows(2).all(|w| w[0] < w[1]),
+                "probe {} delta out of order: {:?}", probe, delta
+            );
+            // Negative evidence wins over the probe.
+            let want = if evidence.negative.contains(probe) {
+                solve_map_brute_force(&gm, &evidence)
+            } else {
+                solve_map_brute_force(&gm, &evidence.with_extra_positive(probe))
+            };
+            prop_assert_eq!(&solver.probe(probe), &want, "probe {} diverged", probe);
         }
     }
 }
