@@ -20,6 +20,12 @@
 //! [`Evidence::delta_since`] returns the pairs inserted at or after a
 //! fence as a borrowed slice — no cloning, no set difference.
 //!
+//! Deltas alone make only *revisits* cheap: a neighborhood's cached
+//! local evidence absorbs the pairs routed to it since. A *first* visit
+//! must restrict the whole accumulator to its view, so the drivers keep
+//! per-entity incidence lists of its pairs, fed from this insertion log:
+//! that restriction reads the view's members' evidence, not all of `V+`.
+//!
 //! The `positive` / `negative` sets remain `pub` for read access (every
 //! matcher implementation reads them); mutating them *directly* bypasses
 //! the log, so code that relies on `delta_since` must go through the

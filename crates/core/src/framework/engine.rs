@@ -40,7 +40,7 @@ use super::mmp::{
     compute_maximal, compute_maximal_certified, mark_dirty_around, promote_dirty, MemoBank,
     MemoPool, MessageStore, MmpConfig, ProbeMemo,
 };
-use super::{DependencyIndex, RunStats, Worklist};
+use super::{DependencyIndex, EvidenceIncidence, RunStats, Worklist};
 
 /// Where a driver's [`DependencyIndex`] comes from: built fresh from the
 /// dataset (the one-shot free functions), borrowed pre-built (a
@@ -65,8 +65,12 @@ struct DriverCore<'a> {
     /// Replica of the accumulating global `M+` (plus the negative set),
     /// epoch-tracked so the scope's outgoing deltas are borrowed slices.
     found: Evidence,
-    /// Per-neighborhood cached local evidence (first visit restricts the
-    /// full sets; revisits apply only the scheduler's dirty pairs).
+    /// Per-entity incidence lists of `found`'s pairs, caught up from its
+    /// insertion log before each first visit.
+    incidence: EvidenceIncidence,
+    /// Per-neighborhood cached local evidence (a first visit restricts
+    /// `found` through `incidence`, reading only the view's members'
+    /// evidence; revisits apply only the scheduler's dirty pairs).
     local: Vec<Option<Evidence>>,
     stats: RunStats,
     trace: Option<EvalTrace>,
@@ -99,12 +103,14 @@ impl<'a> DriverCore<'a> {
             (None, Some(members)) => Worklist::seeded(cover.len(), members.iter().copied()),
             (None, None) => Worklist::full(cover.len()),
         };
+        let found = Evidence::from_parts(evidence.positive.clone(), evidence.negative.clone());
         Self {
             dataset,
             cover,
             index,
             worklist,
-            found: Evidence::from_parts(evidence.positive.clone(), evidence.negative.clone()),
+            incidence: EvidenceIncidence::new(&found),
+            found,
             local: vec![None; cover.len()],
             stats: RunStats::default(),
             trace: None,
@@ -112,11 +118,12 @@ impl<'a> DriverCore<'a> {
     }
 
     /// Cached local evidence of `id`, updated with this visit's dirty
-    /// pairs (first visits restrict the replica to the view). The
-    /// returned borrow is tied to `local` only, so the caller's other
-    /// driver fields stay mutable while it is live.
+    /// pairs (first visits restrict the replica to the view through the
+    /// incidence lists). The returned borrow is tied to `local` only, so
+    /// the caller's other driver fields stay mutable while it is live.
     fn local_evidence<'b>(
         local: &'b mut [Option<Evidence>],
+        incidence: &mut EvidenceIncidence,
         found: &Evidence,
         view: &crate::dataset::View<'_>,
         id: NeighborhoodId,
@@ -129,10 +136,7 @@ impl<'a> DriverCore<'a> {
                 }
                 ev
             }
-            slot @ None => slot.insert(Evidence::untracked(
-                view.restrict(&found.positive),
-                view.restrict(&found.negative),
-            )),
+            slot @ None => slot.insert(incidence.restrict(found, view)),
         }
     }
 
@@ -278,17 +282,16 @@ impl<'a> SmpDriver<'a> {
         while let Some((id, dirty)) = core.worklist.pop() {
             let started = core.trace.is_some().then(Instant::now);
             let view = core.cover.view(core.dataset, id);
-            let local_evidence =
-                DriverCore::local_evidence(&mut core.local, &core.found, &view, id, &dirty);
-            let undecided = view
-                .candidate_pairs()
-                .iter()
-                .filter(|(p, _)| !local_evidence.positive.contains(*p))
-                .count() as u64;
+            let local_evidence = DriverCore::local_evidence(
+                &mut core.local,
+                &mut core.incidence,
+                &core.found,
+                &view,
+                id,
+                &dirty,
+            );
+            core.stats.record_evaluation(&view, local_evidence);
             let matches = matcher.match_view(&view, local_evidence);
-            core.stats.matcher_calls += 1;
-            core.stats.neighborhoods_processed += 1;
-            core.stats.active_pairs_evaluated += undecided;
 
             // New matches become messages: the epoch delta is routed to
             // the neighborhoods the dependency index says can use it.
@@ -595,20 +598,14 @@ impl<'a> MmpDriver<'a> {
             let view = self.core.cover.view(self.core.dataset, id);
             let local_evidence = DriverCore::local_evidence(
                 &mut self.core.local,
+                &mut self.core.incidence,
                 &self.core.found,
                 &view,
                 id,
                 &dirty,
             );
-            let undecided = view
-                .candidate_pairs()
-                .iter()
-                .filter(|(p, _)| !local_evidence.positive.contains(*p))
-                .count() as u64;
+            self.core.stats.record_evaluation(&view, local_evidence);
             let base = matcher.match_view(&view, local_evidence);
-            self.core.stats.matcher_calls += 1;
-            self.core.stats.neighborhoods_processed += 1;
-            self.core.stats.active_pairs_evaluated += undecided;
 
             // Step 5b: new maximal messages from this neighborhood.
             let (new_messages, new_memo) = if self.config.incremental {
@@ -693,5 +690,147 @@ impl<'a> MmpDriver<'a> {
     /// `start`).
     pub fn finish(self, start: Instant) -> MatchOutput {
         self.core.finish(start)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dataset::SimLevel;
+    use crate::entity::EntityId;
+    use crate::testing::TableMatcher;
+    use proptest::prelude::*;
+
+    /// A random dataset, cover and evidence history. Pairs are drawn as
+    /// `(a, d)` with `b = (a + 1 + d) % n`, so endpoints are distinct.
+    #[derive(Debug, Clone)]
+    struct History {
+        n: u32,
+        candidates: Vec<(u32, u32)>,
+        neighborhoods: Vec<Vec<u32>>,
+        /// `epochs[0]` is the initial `V+`; each later batch reaches the
+        /// replica through `MmpDriver::absorb`. Any pair may appear, not
+        /// only candidates.
+        epochs: Vec<Vec<(u32, u32)>>,
+        negative: Vec<(u32, u32)>,
+        /// Picks the positive pair retracted after everything is indexed.
+        retract: usize,
+    }
+
+    fn history() -> impl Strategy<Value = History> {
+        (4u32..14).prop_flat_map(|n| {
+            let pair = || (0..n, 0..n - 1);
+            (
+                collection::vec(pair(), 0..24),
+                collection::vec(collection::vec(0..n, 1..=(n as usize)), 1..6),
+                collection::vec(collection::vec(pair(), 0..8), 1..5),
+                collection::vec(pair(), 0..5),
+                0usize..64,
+            )
+                .prop_map(
+                    move |(candidates, neighborhoods, epochs, negative, retract)| History {
+                        n,
+                        candidates,
+                        neighborhoods,
+                        epochs,
+                        negative,
+                        retract,
+                    },
+                )
+        })
+    }
+
+    fn pair(n: u32, (a, d): (u32, u32)) -> Pair {
+        Pair::new(EntityId(a), EntityId((a + 1 + d) % n))
+    }
+
+    fn pairs(n: u32, raw: &[(u32, u32)]) -> PairSet {
+        raw.iter().map(|&r| pair(n, r)).collect()
+    }
+
+    /// On every neighborhood of `cover`, the indexed restriction must
+    /// equal `View::restrict` of both sets.
+    fn check(
+        index: &mut EvidenceIncidence,
+        ev: &Evidence,
+        ds: &Dataset,
+        cover: &Cover,
+    ) -> Result<(), TestCaseError> {
+        for id in cover.ids() {
+            let view = cover.view(ds, id);
+            let local = index.restrict(ev, &view);
+            prop_assert_eq!(
+                &local.positive,
+                &view.restrict(&ev.positive),
+                "V+ on {:?}",
+                id
+            );
+            prop_assert_eq!(
+                &local.negative,
+                &view.restrict(&ev.negative),
+                "V- on {:?}",
+                id
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn indexed_restriction_equals_view_restrict(h in history()) {
+            let mut ds = Dataset::new();
+            let ty = ds.entities.intern_type("t");
+            for _ in 0..h.n {
+                ds.entities.add_entity(ty);
+            }
+            for &raw in &h.candidates {
+                ds.set_similar(pair(h.n, raw), SimLevel(2));
+            }
+            let cover = Cover::from_neighborhoods(
+                h.neighborhoods
+                    .iter()
+                    .map(|nb| nb.iter().map(|&e| EntityId(e)).collect::<Vec<_>>()),
+            );
+            let initial = pairs(h.n, &h.epochs[0]);
+            let negative = pairs(h.n, &h.negative).difference(&initial);
+            let evidence = Evidence::from_parts(initial, negative);
+
+            // NO-MP's path: caller evidence, tracked or not, indexed once.
+            let untracked = Evidence::untracked(evidence.positive.clone(), evidence.negative.clone());
+            for ev in [&evidence, &untracked] {
+                check(&mut EvidenceIncidence::new(ev), ev, &ds, &cover)?;
+            }
+
+            // The driver's path: a replica fed through `absorb` over
+            // several epochs, restricted only every other epoch, so one
+            // restriction catches up on more than one epoch's log.
+            let matcher = TableMatcher::new();
+            let scorer = matcher.global_scorer(&ds);
+            let mut driver = MmpDriver::new(&ds, &cover, &evidence, &MmpConfig::default());
+            for (k, batch) in h.epochs.iter().enumerate().skip(1) {
+                driver.fence();
+                let batch: Vec<Pair> = batch.iter().map(|&raw| pair(h.n, raw)).collect();
+                driver.absorb(&batch, scorer.as_ref());
+                if k % 2 == 0 {
+                    let core = &mut driver.core;
+                    check(&mut core.incidence, &core.found, &ds, &cover)?;
+                }
+            }
+            let core = &mut driver.core;
+            check(&mut core.incidence, &core.found, &ds, &cover)?;
+
+            // A pair retracted after it was indexed never reaches local
+            // evidence, and re-inserting it brings it back exactly once.
+            let live = core.found.positive.to_sorted_vec();
+            if !live.is_empty() {
+                let gone = live[h.retract % live.len()];
+                core.found.retract_positive(gone);
+                check(&mut core.incidence, &core.found, &ds, &cover)?;
+                core.found.insert_positive(gone);
+                check(&mut core.incidence, &core.found, &ds, &cover)?;
+            }
+        }
     }
 }

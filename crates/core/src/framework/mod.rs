@@ -27,6 +27,7 @@
 pub mod certificates;
 mod dependency;
 mod engine;
+mod incidence;
 pub mod invariants;
 mod mmp;
 mod nomp;
@@ -37,6 +38,7 @@ mod worklist;
 pub use certificates::{CertificateBank, CertificatePool, CertificateSet};
 pub use dependency::DependencyIndex;
 pub use engine::{EvalTrace, MmpDriver, SmpDriver};
+pub(crate) use incidence::EvidenceIncidence;
 pub use invariants::{InvariantChecker, InvariantReport, InvariantViolation};
 #[allow(deprecated)]
 pub use mmp::mmp;

@@ -13,6 +13,8 @@ use crate::matcher::{MatchOutput, Matcher};
 use crate::pair::PairSet;
 use std::time::Instant;
 
+use super::EvidenceIncidence;
+
 /// Run `matcher` independently on every neighborhood of `cover`.
 ///
 /// Prefer the `em::Pipeline` front door (umbrella crate) with
@@ -42,21 +44,12 @@ pub fn no_mp_baseline(
 ) -> MatchOutput {
     let start = Instant::now();
     let mut out = MatchOutput::default();
+    let mut incidence = EvidenceIncidence::new(evidence);
     for id in cover.ids() {
         let view = cover.view(dataset, id);
-        let local_evidence = Evidence::untracked(
-            view.restrict(&evidence.positive),
-            view.restrict(&evidence.negative),
-        );
-        let undecided = view
-            .candidate_pairs()
-            .iter()
-            .filter(|(p, _)| !local_evidence.positive.contains(*p))
-            .count() as u64;
+        let local_evidence = incidence.restrict(evidence, &view);
+        out.stats.record_evaluation(&view, &local_evidence);
         let matches = matcher.match_view(&view, &local_evidence);
-        out.stats.matcher_calls += 1;
-        out.stats.neighborhoods_processed += 1;
-        out.stats.active_pairs_evaluated += undecided;
         out.matches.union_with(&matches);
     }
     // The matcher echoes positive evidence back per-view; keep the output

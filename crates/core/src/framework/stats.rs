@@ -1,5 +1,7 @@
 //! Execution statistics for framework runs.
 
+use crate::dataset::View;
+use crate::evidence::Evidence;
 use std::time::Duration;
 
 /// Counters collected during a framework run.
@@ -103,6 +105,20 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Count one neighborhood evaluation: a matcher call on `view` with
+    /// `evidence`, whose undecided candidates (in neither `V+` nor `V−`)
+    /// add to `active_pairs_evaluated`.
+    pub(crate) fn record_evaluation(&mut self, view: &View<'_>, evidence: &Evidence) {
+        let undecided = view
+            .candidate_pairs()
+            .iter()
+            .filter(|&&(p, _)| !evidence.positive.contains(p) && !evidence.negative.contains(p))
+            .count();
+        self.matcher_calls += 1;
+        self.neighborhoods_processed += 1;
+        self.active_pairs_evaluated += undecided as u64;
+    }
+
     /// Merge counters from another run. This is the **one** aggregation
     /// rule every backend uses — the sequential drivers, the round-based
     /// parallel executor, and the sharded runtime all combine per-worker

@@ -9,8 +9,11 @@
 //! pair in each one's **dirty set**. [`Worklist::pop`] hands the
 //! evaluation the neighborhood together with everything that became
 //! evidence for it since its last evaluation, so the caller can update a
-//! cached local-evidence set (instead of re-restricting the full `M+`)
-//! and re-probe only what the delta can affect.
+//! cached local-evidence set and re-probe only what the delta can
+//! affect. Only a neighborhood's first visit restricts `M+` to its view,
+//! and the driver does that through per-entity incidence lists
+//! (`EvidenceIncidence`), so it too reads only the view's members'
+//! evidence.
 //!
 //! The index is a parameter of [`Worklist::route`] rather than a stored
 //! borrow so a per-shard driver can own its (shard-local) index and its
@@ -71,16 +74,20 @@ impl Worklist {
         pair: Pair,
         from: Option<NeighborhoodId>,
     ) {
-        let mut activate: Vec<NeighborhoodId> = Vec::new();
+        // Split borrows: the visitor records and enqueues in one pass,
+        // in the index's visiting order.
+        let Self {
+            queue,
+            queued,
+            dirty,
+        } = self;
         index.for_each_neighborhood(pair, |id| {
-            self.dirty[id.index()].insert(pair);
-            if Some(id) != from {
-                activate.push(id);
+            dirty[id.index()].insert(pair);
+            if Some(id) != from && !queued[id.index()] {
+                queued[id.index()] = true;
+                queue.push_back(id);
             }
         });
-        for id in activate {
-            self.push(id);
-        }
     }
 
     /// Dequeue the next active neighborhood together with its accumulated

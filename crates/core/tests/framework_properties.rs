@@ -397,3 +397,21 @@ fn stats_reflect_linear_neighborhood_cost() {
     assert!(out.stats.neighborhoods_processed <= k * k * n);
     assert!(out.stats.neighborhoods_processed >= n);
 }
+
+#[test]
+fn active_pairs_exclude_negative_evidence() {
+    // `active_pairs_evaluated` sums *undecided* candidates per matcher
+    // call: a hand-labelled non-match is decided in every neighborhood
+    // that contains it.
+    let (ds, cover, matcher, _) = paper_example();
+    let labelled = p(2, 3);
+    let containing = cover.containing_pair(labelled).len() as u64;
+    assert!(containing > 0);
+    let plain = no_mp(&matcher, &ds, &cover, &Evidence::none());
+    let negative = Evidence::new(PairSet::new(), [labelled].into_iter().collect());
+    let out = no_mp(&matcher, &ds, &cover, &negative);
+    assert_eq!(
+        out.stats.active_pairs_evaluated,
+        plain.stats.active_pairs_evaluated - containing
+    );
+}
