@@ -7,7 +7,6 @@ use em_bench::prepare;
 use em_core::evidence::Evidence;
 use em_core::framework::{mmp_with_order, no_mp_baseline, smp_with_order, MmpConfig};
 use em_core::testing::paper_example;
-use em_parallel::{execute_smp, ParallelConfig};
 use std::hint::black_box;
 
 fn bench_paper_example(c: &mut Criterion) {
@@ -59,22 +58,6 @@ fn bench_schemes_on_workload(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_with_input(
-        BenchmarkId::new("parallel_smp_4w", w.cover.len()),
-        &w,
-        |b, w| {
-            b.iter(|| {
-                black_box(execute_smp(
-                    &matcher,
-                    &w.dataset,
-                    &w.cover,
-                    None,
-                    &none,
-                    &ParallelConfig { workers: 4 },
-                ))
-            })
-        },
-    );
     group.finish();
 }
 

@@ -1,11 +1,13 @@
 //! Table 1: grid running times on DBLP-BIG — single machine vs a
 //! 30-machine grid, for NO-MP, SMP, MMP — through `em::Pipeline`.
 //!
-//! The parallel backend runs with real worker threads and records every
-//! neighborhood's cost; the grid simulator then replays those costs onto
-//! `m` virtual machines with per-round random assignment and job-setup
-//! overhead (the two effects behind the paper's ~11× — not 30× —
-//! speedup).
+//! SMP and MMP run on the sharded backend, which records every
+//! neighborhood visit per epoch (`ShardReport::measured`); NO-MP is a
+//! single round of one matcher call per neighborhood, timed here. The
+//! grid simulator (`em_bench::grid`) then replays those costs onto `m`
+//! virtual machines, one round per epoch, with per-round random
+//! assignment and job-setup overhead (the two effects behind the
+//! paper's ~11× — not 30× — speedup).
 //!
 //! Both placement policies are simulated: the paper's random
 //! assignment (whose skew explains the 11× ≠ 30× gap) and the LPT
@@ -19,29 +21,50 @@
 //! for both plans, side by side.
 //!
 //! Usage:
-//!   table1_grid [--scale 0.002] [--machines 30] [--workers N]
-//!               [--overhead-secs 20] [--dataset dblp-big] [--shards 4]
+//!   table1_grid [--scale 0.002] [--machines 30] [--overhead-secs 0.05]
+//!               [--dataset dblp-big] [--shards 4]
 
 use em::{Backend, BackendReport, Evidence, MatcherChoice, Pipeline, Scheme, SplitPolicy};
-use em_bench::{prepare, Flags, Workload};
-use em_core::framework::{DependencyIndex, MmpConfig};
+use em_bench::{prepare, simulate, Assignment, Flags, GridParams, Workload};
+use em_core::framework::{DependencyIndex, EvalTrace, MmpConfig};
+use em_core::Matcher;
 use em_eval::{fmt_duration, fmt_ratio, Table};
-use em_parallel::{simulate, Assignment, GridParams, ParallelConfig, RoundTrace};
 use em_shard::{estimate_costs, shard_mmp_planned, ShardPlan};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn parallel_trace(w: &Workload, scheme: Scheme, workers: usize) -> RoundTrace {
+/// NO-MP's one round: every neighborhood's matcher call, timed.
+fn no_mp_round(w: &Workload) -> Vec<EvalTrace> {
+    let matcher = w.mln_matcher();
+    let none = Evidence::none();
+    let round = w
+        .cover
+        .ids()
+        .map(|id| {
+            let view = w.cover.view(&w.dataset, id);
+            let t0 = Instant::now();
+            matcher.match_view(&view, &none);
+            (id, t0.elapsed())
+        })
+        .collect();
+    vec![round]
+}
+
+/// The per-epoch evaluation trace of a sharded SMP or MMP run.
+fn sharded_trace(w: &Workload, scheme: Scheme, shards: usize) -> Vec<EvalTrace> {
     let outcome = Pipeline::new(w.dataset.clone())
         .cover(w.cover.clone())
         .matcher(MatcherChoice::MlnExact)
         .scheme(scheme)
-        .backend(Backend::Parallel { workers })
+        .backend(Backend::Sharded {
+            shards,
+            split_policy: SplitPolicy::Split,
+        })
         .build()
-        .expect("exact MLN on the parallel backend is coherent")
+        .expect("exact MLN on the sharded backend is coherent (needs --shards >= 1)")
         .run();
     match outcome.backend {
-        BackendReport::Parallel { trace, .. } => trace,
-        other => panic!("expected a parallel trace, got {other:?}"),
+        BackendReport::Sharded(report) => report.measured,
+        other => panic!("expected a sharded report, got {other:?}"),
     }
 }
 
@@ -120,7 +143,6 @@ fn main() {
     let scale: f64 = flags.get("scale", 0.002);
     let machines: usize = flags.get("machines", 30);
     let overhead = Duration::from_secs_f64(flags.get("overhead-secs", 0.05));
-    let workers: usize = flags.get("workers", ParallelConfig::default().workers);
     let shards: usize = flags.get("shards", 4usize);
 
     let w = prepare(&dataset, scale, None);
@@ -132,24 +154,14 @@ fn main() {
         w.candidate_pairs
     );
 
-    let runs: Vec<(&str, RoundTrace)> = vec![
-        ("NO-MP", parallel_trace(&w, Scheme::NoMp, workers)),
-        ("SMP", parallel_trace(&w, Scheme::Smp, workers)),
-        ("MMP", parallel_trace(&w, Scheme::Mmp, workers)),
+    let runs = [
+        no_mp_round(&w),
+        sharded_trace(&w, Scheme::Smp, shards),
+        sharded_trace(&w, Scheme::Mmp, shards),
     ];
 
     // Table 1 shape: rows = deployment, columns = schemes.
     let mut table = Table::new(["", "NO-MP", "SMP", "MMP"]);
-    let single: Vec<String> = runs
-        .iter()
-        .map(|(_, trace)| fmt_duration(trace.total_work()))
-        .collect();
-    table.push_row([
-        "Single machine".to_owned(),
-        single[0].clone(),
-        single[1].clone(),
-        single[2].clone(),
-    ]);
     let random_params = GridParams {
         machines,
         per_round_overhead: overhead,
@@ -161,12 +173,18 @@ fn main() {
     };
     let random: Vec<_> = runs
         .iter()
-        .map(|(_, trace)| simulate(trace, &random_params))
+        .map(|trace| simulate(trace, &random_params))
         .collect();
     let lpt: Vec<_> = runs
         .iter()
-        .map(|(_, trace)| simulate(trace, &lpt_params))
+        .map(|trace| simulate(trace, &lpt_params))
         .collect();
+    table.push_row([
+        "Single machine".to_owned(),
+        fmt_duration(random[0].total_work),
+        fmt_duration(random[1].total_work),
+        fmt_duration(random[2].total_work),
+    ]);
     table.push_row([
         format!("Grid ({machines} machines, random)"),
         fmt_duration(random[0].makespan),
@@ -211,13 +229,11 @@ fn main() {
     ]);
     println!(
         "\nTable 1 — running times: single machine vs simulated grid \
-         (overhead {}/round; threaded run used {workers} workers; \
-         random = the paper's placement, LPT = em_shard's balancer)",
+         (overhead {}/round; SMP/MMP replay a {shards}-shard run, one round per \
+         non-empty epoch; random = the paper's placement, LPT = em_shard's balancer)",
         fmt_duration(overhead)
     );
     print!("{}", table.render());
 
-    if shards > 0 {
-        run_replan_section(&w, shards);
-    }
+    run_replan_section(&w, shards);
 }

@@ -6,11 +6,12 @@
 //! neighborhoods to machines ("some nodes get multiple bigger than
 //! average neighborhoods"). Both effects are structural, not
 //! Hadoop-specific, so they can be simulated faithfully: replay the
-//! measured per-neighborhood costs of a real (threaded) run onto `m`
+//! measured per-neighborhood costs of a real sharded run
+//! (`em_shard::ShardReport::measured`, one round per epoch) onto `m`
 //! virtual machines with random assignment per round; the round's wall
 //! time is the maximum machine load plus the setup overhead.
 
-use crate::executor::RoundTrace;
+use em_core::framework::EvalTrace;
 use em_core::properties::SplitMix64;
 use std::time::Duration;
 
@@ -59,7 +60,8 @@ impl Default for GridParams {
 /// Result of a grid simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct GridReport {
-    /// Number of rounds replayed.
+    /// Number of rounds replayed (rounds with no evaluation are
+    /// skipped and not counted).
     pub rounds: usize,
     /// Simulated wall-clock time on the grid.
     pub makespan: Duration,
@@ -72,43 +74,46 @@ pub struct GridReport {
     pub mean_skew: f64,
 }
 
-/// Replay a trace onto a simulated grid.
-pub fn simulate(trace: &RoundTrace, params: &GridParams) -> GridReport {
+/// Replay per-round evaluation costs onto a simulated grid: `rounds[i]`
+/// holds the `(neighborhood, cost)` visits of round `i`. Empty rounds
+/// are skipped: they cost no overhead and add no skew sample.
+pub fn simulate(rounds: &[EvalTrace], params: &GridParams) -> GridReport {
     assert!(params.machines > 0, "at least one machine");
     let mut rng = SplitMix64::new(params.seed);
     let mut makespan = Duration::ZERO;
+    let mut total_work = Duration::ZERO;
+    let mut replayed = 0usize;
     let mut skew_sum = 0.0;
     let mut skew_rounds = 0usize;
-    for round in &trace.rounds {
-        if round.is_empty() {
-            continue;
-        }
+    for round in rounds.iter().filter(|round| !round.is_empty()) {
+        replayed += 1;
         let mut loads = vec![Duration::ZERO; params.machines];
         match params.assignment {
             Assignment::Random => {
-                for eval in round {
+                for &(_, cost) in round {
                     // Random assignment, as in the paper ("neighborhoods
                     // are randomly assigned to nodes").
                     let machine = rng.below(params.machines);
-                    loads[machine] += eval.cost;
+                    loads[machine] += cost;
                 }
             }
             Assignment::Lpt => {
-                let mut order: Vec<&crate::executor::EvalRecord> = round.iter().collect();
-                order.sort_by_key(|e| (std::cmp::Reverse(e.cost), e.neighborhood));
-                for eval in order {
+                let mut order = round.clone();
+                order.sort_by_key(|&(id, cost)| (std::cmp::Reverse(cost), id));
+                for (_, cost) in order {
                     let machine = loads
                         .iter()
                         .enumerate()
                         .min_by_key(|&(i, load)| (*load, i))
                         .map(|(i, _)| i)
                         .expect("at least one machine");
-                    loads[machine] += eval.cost;
+                    loads[machine] += cost;
                 }
             }
         }
         let max = loads.iter().copied().max().unwrap_or(Duration::ZERO);
         let total: Duration = loads.iter().copied().sum();
+        total_work += total;
         let mean = total / params.machines as u32;
         if mean > Duration::ZERO {
             skew_sum += max.as_secs_f64() / mean.as_secs_f64();
@@ -116,9 +121,8 @@ pub fn simulate(trace: &RoundTrace, params: &GridParams) -> GridReport {
         }
         makespan += max + params.per_round_overhead;
     }
-    let total_work = trace.total_work();
     GridReport {
-        rounds: trace.rounds.len(),
+        rounds: replayed,
         makespan,
         total_work,
         speedup: if makespan > Duration::ZERO {
@@ -137,25 +141,19 @@ pub fn simulate(trace: &RoundTrace, params: &GridParams) -> GridReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::EvalRecord;
     use em_core::cover::NeighborhoodId;
 
-    fn trace(rounds: Vec<Vec<u64>>) -> RoundTrace {
-        RoundTrace {
-            rounds: rounds
-                .into_iter()
-                .map(|costs| {
-                    costs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, ms)| EvalRecord {
-                            neighborhood: NeighborhoodId(i as u32),
-                            cost: Duration::from_millis(ms),
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
+    fn trace(rounds: Vec<Vec<u64>>) -> Vec<EvalTrace> {
+        rounds
+            .into_iter()
+            .map(|costs| {
+                costs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, ms)| (NeighborhoodId(i as u32), Duration::from_millis(ms)))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -173,6 +171,23 @@ mod tests {
         assert_eq!(report.makespan, Duration::from_millis(65));
         assert_eq!(report.total_work, Duration::from_millis(60));
         assert!((report.mean_skew - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_rounds_are_not_counted() {
+        let t = trace(vec![vec![10], vec![], vec![10]]);
+        let report = simulate(
+            &t,
+            &GridParams {
+                machines: 1,
+                per_round_overhead: Duration::from_millis(5),
+                seed: 1,
+                assignment: Assignment::Random,
+            },
+        );
+        assert_eq!(report.rounds, 2);
+        assert_eq!(report.makespan, Duration::from_millis(30));
+        assert_eq!(report.total_work, Duration::from_millis(20));
     }
 
     #[test]

@@ -19,11 +19,13 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod grid;
 pub mod metrics;
 pub mod report;
 pub mod workload;
 
 pub use cli::Flags;
+pub use grid::{simulate, Assignment, GridParams, GridReport};
 pub use metrics::{MetricValue, MetricsRecord, MetricsWriter};
 pub use report::{
     ArmRecord, ChurnRecord, FrameworkReport, NetServeRunRecord, SchemeRecord, ServeRunRecord,

@@ -6,23 +6,21 @@
 //! oversized components, per-shard drivers with epoch-fenced delta
 //! exchange, coordinator-side message closure and promotion — must be
 //! *invisible* in the outputs: for every generated world and every
-//! shard count, `shard_smp`/`shard_mmp` are byte-identical to the
+//! shard count, the sharded SMP/MMP engines are byte-identical to the
 //! single-threaded schemes, and the incremental probe ledger balances
 //! against the full-recompute arm of the same partition.
 
-use em_bench::prepare;
+use em_bench::{prepare, simulate, Assignment, GridParams};
 use em_blocking::{block_dataset_with_features, BlockingConfig, SimilarityKernel};
 use em_core::cover::NeighborhoodId;
 use em_core::framework::DependencyIndex;
 use em_core::framework::{mmp_with_order, smp_with_order, MmpConfig};
-use em_core::MatchOutput;
+use em_core::{CachedMatcher, MatchOutput, ProbabilisticMatcher};
 use em_core::{Cover, Dataset, Evidence};
 use em_datagen::{generate, DatasetProfile};
 use em_mln::{MlnMatcher, MlnModel};
-use em_parallel::{simulate, Assignment, EvalRecord, GridParams, RoundTrace};
 use em_shard::{
-    estimate_costs, shard_mmp_planned, shard_smp_planned, ShardConfig, ShardPlan, ShardReport,
-    SplitPolicy,
+    estimate_costs, shard_mmp_planned, shard_smp_planned, ShardPlan, ShardReport, SplitPolicy,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -50,8 +48,8 @@ fn world(seed: u64) -> (Dataset, Cover, MlnMatcher) {
     (dataset, blocking.cover, matcher)
 }
 
-// Engine-hook shims with the deprecated wrappers' historical shape (the
-// plain free functions are deprecated in favour of `em::Pipeline`).
+// Engine-hook shims: these property tests target the engines, not the
+// `em::Pipeline` front door; the sharded ones plan from estimates.
 fn smp(matcher: &MlnMatcher, ds: &Dataset, cover: &Cover, ev: &Evidence) -> MatchOutput {
     smp_with_order(matcher, ds, cover, ev, None)
 }
@@ -66,39 +64,47 @@ fn mmp(
     mmp_with_order(matcher, ds, cover, ev, config, None)
 }
 
+fn plan(
+    ds: &Dataset,
+    cover: &Cover,
+    shards: usize,
+    policy: SplitPolicy,
+) -> (DependencyIndex, ShardPlan) {
+    let index = DependencyIndex::build(ds, cover);
+    let plan = ShardPlan::build(&index, shards, &estimate_costs(ds, cover), policy);
+    (index, plan)
+}
+
 fn shard_smp(
     matcher: &MlnMatcher,
     ds: &Dataset,
     cover: &Cover,
     ev: &Evidence,
-    config: &ShardConfig,
+    shards: usize,
 ) -> (MatchOutput, ShardReport) {
-    let index = DependencyIndex::build(ds, cover);
-    let plan = ShardPlan::build(
-        &index,
-        config.shards,
-        &estimate_costs(ds, cover),
-        config.policy,
-    );
+    let (index, plan) = plan(ds, cover, shards, SplitPolicy::Split);
     shard_smp_planned(matcher, ds, cover, &index, &plan, ev)
 }
 
 fn shard_mmp(
-    matcher: &MlnMatcher,
+    matcher: &(dyn ProbabilisticMatcher + Sync),
     ds: &Dataset,
     cover: &Cover,
-    ev: &Evidence,
     mmp_config: &MmpConfig,
-    config: &ShardConfig,
+    shards: usize,
+    policy: SplitPolicy,
 ) -> (MatchOutput, ShardReport) {
-    let index = DependencyIndex::build(ds, cover);
-    let plan = ShardPlan::build(
+    let (index, plan) = plan(ds, cover, shards, policy);
+    shard_mmp_planned(
+        matcher,
+        ds,
+        cover,
         &index,
-        config.shards,
-        &estimate_costs(ds, cover),
-        config.policy,
-    );
-    shard_mmp_planned(matcher, ds, cover, &index, &plan, ev, mmp_config, None)
+        &plan,
+        &Evidence::none(),
+        mmp_config,
+        None,
+    )
 }
 
 proptest! {
@@ -110,21 +116,23 @@ proptest! {
         let none = Evidence::none();
         let seq_mmp = mmp(&matcher, &ds, &cover, &none, &MmpConfig::default());
         let seq_smp = smp(&matcher, &ds, &cover, &none);
+        prop_assert!(seq_smp.matches.is_subset(&seq_mmp.matches),
+            "seed {}: SMP ⊆ MMP must hold", seed);
         for k in [1usize, 2, 4, 7] {
-            let config = ShardConfig::with_shards(k);
             let (out, report) = shard_mmp(
-                &matcher, &ds, &cover, &none, &MmpConfig::default(), &config,
+                &matcher, &ds, &cover, &MmpConfig::default(), k, SplitPolicy::Split,
             );
             prop_assert_eq!(&out.matches, &seq_mmp.matches,
                 "seed {} k {}: sharded MMP diverged", seed, k);
             prop_assert!(report.epochs >= 2, "seed {} k {}: missing confirm epoch", seed, k);
-            let (out_smp, _) = shard_smp(&matcher, &ds, &cover, &none, &config);
+            let (out_smp, _) = shard_smp(&matcher, &ds, &cover, &none, k);
             prop_assert_eq!(&out_smp.matches, &seq_smp.matches,
                 "seed {} k {}: sharded SMP diverged", seed, k);
         }
         // The strict-locality policy reaches the same fixpoint too.
-        let pin = ShardConfig { shards: 4, policy: SplitPolicy::Pin };
-        let (out_pin, _) = shard_mmp(&matcher, &ds, &cover, &none, &MmpConfig::default(), &pin);
+        let (out_pin, _) = shard_mmp(
+            &matcher, &ds, &cover, &MmpConfig::default(), 4, SplitPolicy::Pin,
+        );
         prop_assert_eq!(&out_pin.matches, &seq_mmp.matches, "seed {}: Pin diverged", seed);
     }
 
@@ -135,11 +143,10 @@ proptest! {
         // incremental arm — the same ledger invariant the sequential
         // scheduler maintains.
         let (ds, cover, matcher) = world(seed);
-        let none = Evidence::none();
-        let config = ShardConfig::with_shards(4);
-        let (incr, _) = shard_mmp(&matcher, &ds, &cover, &none, &MmpConfig::default(), &config);
+        let split = SplitPolicy::Split;
+        let (incr, _) = shard_mmp(&matcher, &ds, &cover, &MmpConfig::default(), 4, split);
         let full_cfg = MmpConfig { incremental: false, ..Default::default() };
-        let (full, _) = shard_mmp(&matcher, &ds, &cover, &none, &full_cfg, &config);
+        let (full, _) = shard_mmp(&matcher, &ds, &cover, &full_cfg, 4, split);
         prop_assert_eq!(&incr.matches, &full.matches, "seed {}: arms diverged", seed);
         prop_assert!(incr.stats.conditioned_probes <= full.stats.conditioned_probes,
             "seed {}: incremental issued more probes ({} > {})",
@@ -168,24 +175,19 @@ fn lpt_grid_simulation_matches_a_real_shard_run() {
         &matcher,
         &w.dataset,
         &w.cover,
-        &Evidence::none(),
         &MmpConfig::default(),
-        &ShardConfig::with_shards(k),
+        k,
+        SplitPolicy::Split,
     );
     assert!(!out.matches.is_empty(), "workload must produce matches");
 
-    let round: Vec<EvalRecord> = report
+    let round = report
         .neighborhood_costs
         .iter()
         .enumerate()
-        .map(|(i, &cost)| EvalRecord {
-            neighborhood: NeighborhoodId(i as u32),
-            cost: Duration::from_micros(cost),
-        })
+        .map(|(i, &cost)| (NeighborhoodId(i as u32), Duration::from_micros(cost)))
         .collect();
-    let trace = RoundTrace {
-        rounds: vec![round],
-    };
+    let trace = vec![round];
     let params = GridParams {
         machines: k,
         per_round_overhead: Duration::ZERO,
@@ -216,4 +218,73 @@ fn lpt_grid_simulation_matches_a_real_shard_run() {
         random.makespan
     );
     assert!(lpt.mean_skew <= random.mean_skew);
+}
+
+/// The per-epoch trace accounts for every evaluation on a generated
+/// world: its lengths sum to the run's evaluation count, the cold run's
+/// first epoch visits every neighborhood of the plan, and replaying it
+/// on the grid counts exactly the non-empty epochs as rounds.
+#[test]
+fn per_epoch_trace_records_every_evaluation_on_a_datagen_world() {
+    let (ds, cover, matcher) = world(11);
+    let (out, report) = shard_mmp(
+        &matcher,
+        &ds,
+        &cover,
+        &MmpConfig::default(),
+        3,
+        SplitPolicy::Split,
+    );
+    assert_eq!(report.measured.len() as u64, report.epochs);
+    let recorded: u64 = report.measured.iter().map(|e| e.len() as u64).sum();
+    assert_eq!(recorded, out.stats.neighborhoods_processed);
+    let mut first: Vec<NeighborhoodId> = report.measured[0].iter().map(|&(id, _)| id).collect();
+    first.sort_unstable();
+    first.dedup();
+    assert_eq!(first, cover.ids().collect::<Vec<_>>());
+
+    let grid = simulate(&report.measured, &GridParams::default());
+    let non_empty = report.measured.iter().filter(|e| !e.is_empty()).count();
+    assert_eq!(grid.rounds, non_empty);
+}
+
+/// The memoizing wrapper is `Sync`: one instance serves both shard
+/// threads by reference, and a second run replays entirely from the
+/// shared memo without new inference.
+#[test]
+fn cached_matcher_is_shared_read_only_across_shards() {
+    let (ds, cover, matcher) = world(11);
+    let expected = mmp(
+        &matcher,
+        &ds,
+        &cover,
+        &Evidence::none(),
+        &MmpConfig::default(),
+    );
+    let cached = CachedMatcher::new(matcher);
+    let run = || {
+        shard_mmp(
+            &cached,
+            &ds,
+            &cover,
+            &MmpConfig::default(),
+            2,
+            SplitPolicy::Split,
+        )
+    };
+    let (out, report) = run();
+    assert_eq!(out.matches, expected.matches);
+    assert!(
+        report.per_shard.iter().all(|s| s.evaluations > 0),
+        "both shards evaluate through the one cache"
+    );
+    let before = cached.stats();
+    let (replay, _) = run();
+    assert_eq!(replay.matches, expected.matches);
+    let after = cached.stats();
+    assert!(after.hits > before.hits, "replay run hits the shared cache");
+    assert_eq!(
+        after.misses, before.misses,
+        "replay run performs no new inference"
+    );
 }

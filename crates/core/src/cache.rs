@@ -7,7 +7,7 @@
 //!   for the "same pair examined by many overlapping contexts" pattern:
 //!   blocking canopies overlap, covers overlap, and MMP re-examines pairs
 //!   across rounds. Shards keep lock contention negligible when the cache
-//!   is shared read-mostly across `em-parallel` workers.
+//!   is shared read-mostly across `em-shard` shard threads.
 //!
 //! * [`CachedMatcher`] — a transparent memoizing wrapper around any
 //!   [`Matcher`] / [`ProbabilisticMatcher`]. Matchers are deterministic

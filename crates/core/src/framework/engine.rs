@@ -24,9 +24,8 @@
 //! `delta(M+, M)` is non-decreasing in `M+` — so a promotion that fires
 //! early is still sound, and one that is missed is retried when the
 //! missing evidence arrives (absorb marks the affected messages dirty).
-//! The fixpoint is therefore the same as the sequential run's, which is
-//! exactly the consistency argument the round-based parallel executor
-//! already relies on.
+//! The fixpoint is therefore the same as the sequential run's: the
+//! consistency theorems make it independent of evaluation order.
 
 use crate::cover::{Cover, NeighborhoodId};
 use crate::dataset::Dataset;
@@ -53,7 +52,8 @@ enum IndexSource<'i> {
 }
 
 /// Per-neighborhood evaluation costs recorded by a driver when tracing
-/// is enabled (feeds the grid simulator's validation path).
+/// is enabled, one entry per visit (the sharded runtime collects one per
+/// epoch; the Table 1 grid simulator replays them).
 pub type EvalTrace = Vec<(NeighborhoodId, Duration)>;
 
 /// Shared non-MMP state of both drivers.
@@ -238,10 +238,14 @@ impl<'a> SmpDriver<'a> {
         self.core.trace.get_or_insert_with(Vec::new);
     }
 
-    /// The recorded evaluation costs so far (empty unless
-    /// [`SmpDriver::enable_trace`] was called).
+    /// The evaluation costs recorded since the previous call (empty
+    /// unless [`SmpDriver::enable_trace`] was called). Tracing stays on.
     pub fn take_trace(&mut self) -> EvalTrace {
-        self.core.trace.take().unwrap_or_default()
+        self.core
+            .trace
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Absorb a cross-shard delta: union new pairs into the replica and
@@ -456,10 +460,14 @@ impl<'a> MmpDriver<'a> {
         self.core.trace.get_or_insert_with(Vec::new);
     }
 
-    /// The recorded evaluation costs so far (empty unless
-    /// [`MmpDriver::enable_trace`] was called).
+    /// The evaluation costs recorded since the previous call (empty
+    /// unless [`MmpDriver::enable_trace`] was called). Tracing stays on.
     pub fn take_trace(&mut self) -> EvalTrace {
-        self.core.trace.take().unwrap_or_default()
+        self.core
+            .trace
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Seed one neighborhood's probe memo directly (the caller withdrew

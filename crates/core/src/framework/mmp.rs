@@ -1337,22 +1337,8 @@ pub fn compute_maximal_certified(
     )
 }
 
-/// Algorithm 3: run MMP over a cover.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `em::Pipeline` front door (umbrella crate); `mmp_with_order` / `MmpDriver` are the engine hooks"
-)]
-pub fn mmp(
-    matcher: &dyn ProbabilisticMatcher,
-    dataset: &Dataset,
-    cover: &Cover,
-    evidence: &Evidence,
-    config: &MmpConfig,
-) -> MatchOutput {
-    mmp_with_order(matcher, dataset, cover, evidence, config, None)
-}
-
-/// MMP with an explicit initial evaluation order (consistency tests).
+/// Algorithm 3: run MMP over a cover. `order` fixes the initial
+/// evaluation order (`None` is id order; the consistency tests vary it).
 /// A thin wrapper over [`super::MmpDriver`]: one driver spanning the
 /// whole cover, run to quiescence once.
 pub fn mmp_with_order(

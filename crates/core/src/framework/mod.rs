@@ -3,15 +3,16 @@
 //!
 //! Three schemes, in increasing power:
 //!
-//! * [`no_mp`] — run the matcher once per neighborhood, union the outputs,
-//!   exchange nothing (the paper's **NO-MP** baseline);
-//! * [`smp`] — **Simple Message Passing** (Algorithm 1): found matches are
-//!   positive evidence for subsequent runs, neighborhoods reactivate when
-//!   new evidence arrives, until fixpoint;
-//! * [`mmp`] — **Maximal Message Passing** (Algorithms 2 + 3): additionally
-//!   exchanges *maximal messages* (all-or-nothing correlated match sets),
-//!   promoting a message to real matches when it does not decrease the
-//!   global probability. Requires a Type-II (probabilistic) matcher.
+//! * [`no_mp_baseline`] — run the matcher once per neighborhood, union
+//!   the outputs, exchange nothing (the paper's **NO-MP** baseline);
+//! * [`smp_with_order`] — **Simple Message Passing** (Algorithm 1): found
+//!   matches are positive evidence for subsequent runs, neighborhoods
+//!   reactivate when new evidence arrives, until fixpoint;
+//! * [`mmp_with_order`] — **Maximal Message Passing** (Algorithms 2 +
+//!   3): additionally exchanges *maximal messages* (all-or-nothing
+//!   correlated match sets), promoting a message to real matches when it
+//!   does not decrease the global probability. Requires a Type-II
+//!   (probabilistic) matcher.
 //!
 //! For well-behaved matchers, SMP and MMP are *sound* (output ⊆ full-run
 //! output), *consistent* (order-invariant), and linear in the number of
@@ -21,7 +22,7 @@
 //! accumulating `M+` is an epoch-tracked [`crate::Evidence`], a
 //! [`DependencyIndex`] built once from the cover routes each delta pair
 //! to exactly the neighborhoods that can use it, and MMP re-probes only
-//! the conditioned probes the delta can have changed (see [`mmp`] and
+//! the conditioned probes the delta can have changed (see [`MmpDriver`] and
 //! [`compute_maximal_incremental`]).
 
 pub mod certificates;
@@ -40,18 +41,12 @@ pub use dependency::DependencyIndex;
 pub use engine::{EvalTrace, MmpDriver, SmpDriver};
 pub(crate) use incidence::EvidenceIncidence;
 pub use invariants::{InvariantChecker, InvariantReport, InvariantViolation};
-#[allow(deprecated)]
-pub use mmp::mmp;
 pub use mmp::{
     compute_maximal, compute_maximal_certified, compute_maximal_incremental, mark_dirty_around,
     mmp_with_order, promote_dirty, MemoBank, MemoPool, MessageStore, MmpConfig, ProbeMemo,
     WarmStart, DEFAULT_CERTIFICATE_SLACK,
 };
-#[allow(deprecated)]
-pub use nomp::no_mp;
 pub use nomp::no_mp_baseline;
-#[allow(deprecated)]
-pub use smp::smp;
 pub use smp::smp_with_order;
 pub use stats::RunStats;
 pub(crate) use worklist::Worklist;

@@ -15,27 +15,9 @@ use std::time::Instant;
 
 use super::EvidenceIncidence;
 
-/// Run `matcher` independently on every neighborhood of `cover`.
-///
-/// Prefer the `em::Pipeline` front door (umbrella crate) with
-/// `Scheme::NoMp`; this free function remains as its engine hook and as
-/// a compatibility wrapper target.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `em::Pipeline` front door (umbrella crate); `no_mp_baseline` is the engine hook"
-)]
-pub fn no_mp(
-    matcher: &dyn Matcher,
-    dataset: &Dataset,
-    cover: &Cover,
-    evidence: &Evidence,
-) -> MatchOutput {
-    no_mp_baseline(matcher, dataset, cover, evidence)
-}
-
-/// The NO-MP engine: one matcher call per neighborhood, outputs unioned.
-/// This is what [`no_mp`] always did; the plain name is deprecated in
-/// favour of the `em::Pipeline` front door, which calls this hook.
+/// The NO-MP engine: run `matcher` independently on every neighborhood
+/// of `cover`, one call each, and union the outputs. The `em::Pipeline`
+/// front door (umbrella crate) calls this hook for `Scheme::NoMp`.
 pub fn no_mp_baseline(
     matcher: &dyn Matcher,
     dataset: &Dataset,

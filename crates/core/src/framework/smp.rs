@@ -28,24 +28,6 @@ use std::time::Instant;
 
 use super::SmpDriver;
 
-/// Run SMP with the default (id-order) initial schedule.
-///
-/// Prefer the `em::Pipeline` front door (umbrella crate) with
-/// `Scheme::Smp`, which owns the dependency index and evidence across
-/// runs; this free function remains as a one-shot compatibility wrapper.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `em::Pipeline` front door (umbrella crate); `smp_with_order` / `SmpDriver` are the engine hooks"
-)]
-pub fn smp(
-    matcher: &dyn Matcher,
-    dataset: &Dataset,
-    cover: &Cover,
-    evidence: &Evidence,
-) -> MatchOutput {
-    smp_with_order(matcher, dataset, cover, evidence, None)
-}
-
 /// Run SMP with an explicit initial evaluation order (used by the
 /// consistency tests; Theorem 2(3) says the output must not depend on
 /// it). A thin wrapper over [`SmpDriver`]: one driver spanning the whole

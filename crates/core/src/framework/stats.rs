@@ -60,7 +60,8 @@ pub struct RunStats {
     /// eviction (`MmpConfig::memo_capacity`); each evicted entry costs
     /// one extra conditioned probe on the neighborhood's next revisit.
     pub memo_evictions: u64,
-    /// Parallel rounds executed (0 for sequential runs).
+    /// Epoch fences of a sharded run, the confirming empty epoch
+    /// included (0 for sequential runs).
     pub rounds: u64,
     /// Ground-interaction components whose carried state a session
     /// rollback dropped before this run (`MatchSession::update` with
@@ -120,10 +121,10 @@ impl RunStats {
     }
 
     /// Merge counters from another run. This is the **one** aggregation
-    /// rule every backend uses — the sequential drivers, the round-based
-    /// parallel executor, and the sharded runtime all combine per-worker
-    /// stats through it: counters sum, wall time takes the max (workers
-    /// overlap), rounds take the max (workers share the round loop).
+    /// rule every backend uses — the sequential drivers and the sharded
+    /// runtime both combine per-worker stats through it: counters sum,
+    /// wall time takes the max (workers overlap), rounds take the max
+    /// (shards share the epoch loop).
     /// Backends that know the true wall time / round count of the whole
     /// run fix them up afterwards with [`RunStats::finalize`].
     ///
@@ -171,7 +172,7 @@ impl RunStats {
     }
 
     /// Overwrite the run-level fields after a [`RunStats::merge`] fold:
-    /// the coordinator (parallel reduce loop, shard epoch loop, session)
+    /// the coordinator (shard epoch loop, session)
     /// knows the real wall clock and round/epoch count; worker-side
     /// values were only placeholders.
     pub fn finalize(&mut self, wall_time: Duration, rounds: u64) {

@@ -205,7 +205,8 @@ impl ShardPlan {
     /// Measured-cost re-planning: rebuild the partition with the same
     /// shard count and policy, but with the balancer's cost slice
     /// replaced by a previous run's **measured** per-neighborhood busy
-    /// times (`ShardReport::measured`, nanoseconds, summed over visits).
+    /// times (`ShardReport::measured`'s per-epoch visits, nanoseconds,
+    /// summed per neighborhood over every epoch).
     /// Neighborhoods the report did not measure fall back to cost 1,
     /// the cheapest unit, so they cannot displace measured load — which
     /// means the report should cover (nearly) every neighborhood to be
@@ -216,12 +217,11 @@ impl ShardPlan {
     /// thereby corrected by exactly the skew the estimate got wrong;
     /// `table1_grid` prints the two plans side by side.
     pub fn replan_from(&self, index: &DependencyIndex, report: &crate::ShardReport) -> ShardPlan {
-        let mut costs = vec![1u64; self.costs.len()];
-        for &(id, busy) in &report.measured {
-            if id.index() < costs.len() {
-                costs[id.index()] = (busy.as_nanos() as u64).max(1);
-            }
-        }
+        let costs: Vec<u64> = report
+            .measured_totals(self.costs.len())
+            .into_iter()
+            .map(|busy| busy.map_or(1, |busy| (busy.as_nanos() as u64).max(1)))
+            .collect();
         ShardPlan::build(index, self.shards.len(), &costs, self.policy)
     }
 

@@ -43,7 +43,7 @@
 //! is byte-identical to the single-machine run's.
 
 use crate::fault::{FaultKind, RuntimeOptions};
-use crate::partition::{estimate_costs, skew, ShardPlan, SplitPolicy};
+use crate::partition::{skew, ShardPlan};
 use crossbeam::channel::{self, Receiver, Sender};
 use em_core::cover::{Cover, NeighborhoodId};
 use em_core::framework::{
@@ -55,36 +55,6 @@ use em_core::{
     Dataset, Evidence, GlobalScorer, MatchOutput, Matcher, Pair, PairSet, ProbabilisticMatcher,
 };
 use std::time::{Duration, Instant};
-
-/// Sharded-runtime configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardConfig {
-    /// Number of shards (each runs on its own thread).
-    pub shards: usize,
-    /// What to do with evidence components too big to balance.
-    pub policy: SplitPolicy,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        Self {
-            shards: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
-            policy: SplitPolicy::default(),
-        }
-    }
-}
-
-impl ShardConfig {
-    /// `shards` shards with the default split policy.
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards,
-            ..Default::default()
-        }
-    }
-}
 
 /// Per-shard load figures of one run.
 #[derive(Debug, Clone)]
@@ -117,8 +87,9 @@ pub struct ShardReport {
     /// Oversized components split into per-neighborhood units.
     pub split_components: usize,
     /// Oversized components kept whole and pinned solo: all of them
-    /// under [`SplitPolicy::Pin`]; single-neighborhood ones (nothing to
-    /// split) even under [`SplitPolicy::Split`].
+    /// under [`SplitPolicy::Pin`](crate::SplitPolicy::Pin);
+    /// single-neighborhood ones (nothing to split) even under
+    /// [`SplitPolicy::Split`](crate::SplitPolicy::Split).
     pub pinned_components: usize,
     /// Epoch fences until the global fixpoint (≥ 2: at least one work
     /// epoch plus the empty confirming epoch).
@@ -142,8 +113,15 @@ pub struct ShardReport {
     /// (indexed by neighborhood id) — the deterministic trace the grid
     /// simulator's LPT mode is validated against.
     pub neighborhood_costs: Vec<u64>,
-    /// Measured per-neighborhood evaluation costs, summed over visits.
-    pub measured: Vec<(NeighborhoodId, Duration)>,
+    /// Measured evaluation costs per epoch: entry `i` holds every
+    /// shard's neighborhood visits in epoch `i + 1`, in shard-id order
+    /// (a neighborhood revisited within an epoch appears once per
+    /// visit). An inline replacement for a dead shard records its
+    /// catch-up drain under the epoch in which it was recovered. An
+    /// epoch in which no shard evaluated anything has an empty entry.
+    /// This is the trace the Table 1 grid simulator replays, one round
+    /// per epoch.
+    pub measured: Vec<EvalTrace>,
     /// Shard driver threads lost to a panic (injected or organic).
     pub shard_panics: u64,
     /// Fence-wait attempts that expired before every live shard
@@ -167,6 +145,19 @@ impl ShardReport {
     pub fn est_makespan(&self) -> u64 {
         self.per_shard.iter().map(|s| s.est_cost).max().unwrap_or(0)
     }
+
+    /// Measured busy time per neighborhood id in `0..neighborhoods`,
+    /// summed over every visit in every epoch; `None` where no shard
+    /// evaluated the neighborhood.
+    pub fn measured_totals(&self, neighborhoods: usize) -> Vec<Option<Duration>> {
+        let mut totals: Vec<Option<Duration>> = vec![None; neighborhoods];
+        for &(id, cost) in self.measured.iter().flatten() {
+            if let Some(total) = totals.get_mut(id.index()) {
+                *total = Some(total.unwrap_or_default() + cost);
+            }
+        }
+        totals
+    }
 }
 
 enum ToShard {
@@ -183,7 +174,8 @@ struct EpochDone {
 struct ShardOutcome {
     stats: RunStats,
     busy: Duration,
-    trace: EvalTrace,
+    /// Evaluation costs per epoch (index `e` is epoch `e + 1`).
+    traces: Vec<EvalTrace>,
     /// Probe memos at quiescence, keyed by view identity (MMP only).
     memos: MemoBank,
     /// Score-gap certificates at quiescence, parallel to `memos`.
@@ -198,7 +190,9 @@ trait EpochWorker {
     fn drain(&mut self);
     /// This epoch's outgoing delta and maximal messages.
     fn produced(&mut self, since: em_core::Epoch) -> (Vec<Pair>, Vec<Vec<Pair>>);
-    fn finish(self) -> (RunStats, EvalTrace, MemoBank, CertificateBank);
+    /// The evaluations recorded since the previous call.
+    fn take_trace(&mut self) -> EvalTrace;
+    fn finish(self) -> (RunStats, MemoBank, CertificateBank);
 }
 
 struct SmpWorker<'a> {
@@ -219,11 +213,12 @@ impl EpochWorker for SmpWorker<'_> {
     fn produced(&mut self, since: em_core::Epoch) -> (Vec<Pair>, Vec<Vec<Pair>>) {
         (self.driver.delta_since(since).to_vec(), Vec::new())
     }
-    fn finish(mut self) -> (RunStats, EvalTrace, MemoBank, CertificateBank) {
-        let trace = self.driver.take_trace();
+    fn take_trace(&mut self) -> EvalTrace {
+        self.driver.take_trace()
+    }
+    fn finish(self) -> (RunStats, MemoBank, CertificateBank) {
         (
             *self.driver.stats(),
-            trace,
             MemoBank::new(),
             CertificateBank::new(),
         )
@@ -255,17 +250,23 @@ impl EpochWorker for MmpWorker<'_> {
             self.driver.take_outbox(),
         )
     }
-    fn finish(mut self) -> (RunStats, EvalTrace, MemoBank, CertificateBank) {
-        let trace = self.driver.take_trace();
+    fn take_trace(&mut self) -> EvalTrace {
+        self.driver.take_trace()
+    }
+    fn finish(mut self) -> (RunStats, MemoBank, CertificateBank) {
         let mut memos = MemoBank::new();
         let mut certs = CertificateBank::new();
         if self.collect_memos {
             self.driver.bank_memos(&mut memos);
             self.driver.bank_certificates(&mut certs);
         }
-        (*self.driver.stats(), trace, memos, certs)
+        (*self.driver.stats(), memos, certs)
     }
 }
+
+/// An inline replacement for a dead shard: its worker, busy time, and
+/// per-epoch traces.
+type Replacement<W> = (W, Duration, Vec<EvalTrace>);
 
 /// Counters the coordinator accumulates while surviving faults.
 #[derive(Debug, Default, Clone, Copy)]
@@ -285,6 +286,7 @@ fn worker_loop<W: EpochWorker>(
     faults: Vec<FaultKind>,
 ) -> ShardOutcome {
     let mut busy = Duration::ZERO;
+    let mut traces: Vec<EvalTrace> = Vec::new();
     let mut epoch = 0u64;
     let mut stalled = false;
     loop {
@@ -304,6 +306,7 @@ fn worker_loop<W: EpochWorker>(
                 worker.drain();
                 let (produced, messages) = worker.produced(fence);
                 busy += t0.elapsed();
+                traces.push(worker.take_trace());
                 stalled = stalled
                     || faults
                         .iter()
@@ -329,11 +332,11 @@ fn worker_loop<W: EpochWorker>(
             }
         }
     }
-    let (stats, trace, memos, certs) = worker.finish();
+    let (stats, memos, certs) = worker.finish();
     ShardOutcome {
         stats,
         busy,
-        trace,
+        traces,
         memos,
         certs,
     }
@@ -358,7 +361,9 @@ fn worker_loop<W: EpochWorker>(
 /// evidence is baked in at construction, so history replay reconstructs
 /// exactly the evidence every live shard has seen) and drains to local
 /// quiescence; its produced delta joins the epoch's reduce like any
-/// other response. Every later epoch drives the replacement inline.
+/// other response. Every later epoch drives the replacement inline. The
+/// replacement's evaluations are traced under the epoch they ran in, so
+/// its catch-up drain lands in the epoch in which it was recovered.
 /// This is sound because the fixpoint is independent of evaluation
 /// order and history (the consistency theorems): re-derived pairs dedup
 /// against the global evidence and re-sent messages merge idempotently
@@ -407,29 +412,31 @@ where
         let mut counters = FaultCounters::default();
         let mut dead: Vec<bool> = vec![false; k];
         // Inline replacement workers for dead shards, with the wall
-        // time they have spent (their busy figure).
-        let mut inline: Vec<Option<(W, Duration)>> = (0..k).map(|_| None).collect();
+        // time they have spent (their busy figure) and their per-epoch
+        // traces (empty for the epochs before the recovery).
+        let mut inline: Vec<Option<Replacement<W>>> = (0..k).map(|_| None).collect();
         // Every broadcast delta so far, flattened — what a replacement
         // worker absorbs to reconstruct a dead shard's evidence state.
         let mut history: Vec<Pair> = Vec::new();
         // Build a replacement for shard `s` and produce its response
-        // for the current epoch (whose delta is already in `history`).
-        let recover = |s: usize, history: &[Pair]| -> (W, Duration, EpochDone) {
+        // for the current epoch `epoch` (whose delta is already in
+        // `history`).
+        let recover = |s: usize, history: &[Pair], epoch: u64| -> (Replacement<W>, EpochDone) {
             let mut w = make_worker(s);
             let t0 = Instant::now();
             w.absorb(history);
             let fence = w.fence();
             w.drain();
             let (produced, messages) = w.produced(fence);
-            (
-                w,
-                t0.elapsed(),
-                EpochDone {
-                    shard: s,
-                    delta: produced,
-                    messages,
-                },
-            )
+            let busy = t0.elapsed();
+            let mut traces = vec![EvalTrace::new(); epoch as usize - 1];
+            traces.push(w.take_trace());
+            let done = EpochDone {
+                shard: s,
+                delta: produced,
+                messages,
+            };
+            ((w, busy, traces), done)
         };
 
         let mut global = Evidence::from_parts(evidence.positive.clone(), evidence.negative.clone());
@@ -452,13 +459,14 @@ where
             let mut responses: Vec<Option<EpochDone>> = (0..k).map(|_| None).collect();
             // Dead shards first: drive their inline replacements.
             for s in 0..k {
-                if let Some((w, busy)) = inline[s].as_mut() {
+                if let Some((w, busy, traces)) = inline[s].as_mut() {
                     let t0 = Instant::now();
                     w.absorb(&delta);
                     let fence = w.fence();
                     w.drain();
                     let (produced, messages) = w.produced(fence);
                     *busy += t0.elapsed();
+                    traces.push(w.take_trace());
                     responses[s] = Some(EpochDone {
                         shard: s,
                         delta: produced,
@@ -499,8 +507,8 @@ where
                         dead[s] = true;
                         counters.shard_panics += 1;
                         counters.shards_recovered += 1;
-                        let (w, busy, done) = recover(s, &history);
-                        inline[s] = Some((w, busy));
+                        let (replacement, done) = recover(s, &history, epochs);
+                        inline[s] = Some(replacement);
                         responses[s] = Some(done);
                         observed_panic = true;
                     }
@@ -519,8 +527,8 @@ where
                             dead[s] = true;
                             counters.stalled_shards += 1;
                             counters.shards_recovered += 1;
-                            let (w, busy, done) = recover(s, &history);
-                            inline[s] = Some((w, busy));
+                            let (replacement, done) = recover(s, &history, epochs);
+                            inline[s] = Some(replacement);
                             responses[s] = Some(done);
                         }
                         break;
@@ -550,12 +558,12 @@ where
         for (s, h) in handles.into_iter().enumerate() {
             let joined = h.join();
             let replacement = inline[s].take();
-            let finish = |pair: (W, Duration)| {
-                let (stats, trace, memos, certs) = pair.0.finish();
+            let finish = |(w, busy, traces): Replacement<W>| {
+                let (stats, memos, certs) = w.finish();
                 ShardOutcome {
                     stats,
-                    busy: pair.1,
-                    trace,
+                    busy,
+                    traces,
                     memos,
                     certs,
                 }
@@ -595,7 +603,7 @@ fn assemble(
     stats.fence_timeouts += faults.fence_timeouts;
     stats.shards_recovered += faults.shards_recovered;
     let mut per_shard = Vec::with_capacity(outcomes.len());
-    let mut measured: Vec<(NeighborhoodId, Duration)> = Vec::new();
+    let mut measured: Vec<EvalTrace> = vec![EvalTrace::new(); epochs as usize];
     let mut busy_units = Vec::with_capacity(outcomes.len());
     let mut makespan = Duration::ZERO;
     let mut total_work = Duration::ZERO;
@@ -612,18 +620,10 @@ fn assemble(
         busy_units.push(outcome.busy.as_nanos() as u64);
         makespan = makespan.max(outcome.busy);
         total_work += outcome.busy;
-        measured.extend(outcome.trace);
-    }
-    measured.sort_by_key(|&(id, _)| id);
-    // Sum repeated visits of the same neighborhood into one entry.
-    measured.dedup_by(|next, acc| {
-        if next.0 == acc.0 {
-            acc.1 += next.1;
-            true
-        } else {
-            false
+        for (epoch, trace) in measured.iter_mut().zip(outcome.traces) {
+            epoch.extend(trace);
         }
-    });
+    }
     stats.finalize(start.elapsed(), epochs);
 
     let report = ShardReport {
@@ -662,29 +662,11 @@ fn assemble(
     (MatchOutput { matches, stats }, report)
 }
 
-/// Sharded SMP: the fixpoint equals the sequential SMP fixpoint.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `em::Pipeline` front door (umbrella crate) with `Backend::Sharded`; `shard_smp_planned` is the engine hook"
-)]
-pub fn shard_smp(
-    matcher: &(dyn Matcher + Sync),
-    dataset: &Dataset,
-    cover: &Cover,
-    evidence: &Evidence,
-    config: &ShardConfig,
-) -> (MatchOutput, ShardReport) {
-    let index = DependencyIndex::build(dataset, cover);
-    let costs = estimate_costs(dataset, cover);
-    let plan = ShardPlan::build(&index, config.shards, &costs, config.policy);
-    shard_smp_planned(matcher, dataset, cover, &index, &plan, evidence)
-}
-
 /// The sharded SMP engine over a caller-owned [`DependencyIndex`] and
 /// [`ShardPlan`] — what a session uses so the index survives across runs
 /// and the plan can be rebuilt from measured costs
-/// ([`ShardPlan::replan_from`]). The deprecated [`shard_smp`] wrapper
-/// builds both from estimates and delegates here.
+/// ([`ShardPlan::replan_from`]). The fixpoint equals the sequential SMP
+/// fixpoint.
 pub fn shard_smp_planned(
     matcher: &(dyn Matcher + Sync),
     dataset: &Dataset,
@@ -762,31 +744,6 @@ pub fn shard_smp_planned_opts(
     )
 }
 
-/// Sharded MMP: the fixpoint equals [`em_core::framework::mmp`]'s for
-/// exact supermodular matchers (the same caveat as
-/// [`MmpConfig::incremental`] applies to approximate backends). Shards
-/// compute base matches and maximal messages; the coordinator owns the
-/// message store and the promotion loop.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `em::Pipeline` front door (umbrella crate) with `Backend::Sharded`; `shard_mmp_planned` is the engine hook"
-)]
-pub fn shard_mmp(
-    matcher: &(dyn ProbabilisticMatcher + Sync),
-    dataset: &Dataset,
-    cover: &Cover,
-    evidence: &Evidence,
-    mmp_config: &MmpConfig,
-    config: &ShardConfig,
-) -> (MatchOutput, ShardReport) {
-    let index = DependencyIndex::build(dataset, cover);
-    let costs = estimate_costs(dataset, cover);
-    let plan = ShardPlan::build(&index, config.shards, &costs, config.policy);
-    shard_mmp_planned(
-        matcher, dataset, cover, &index, &plan, evidence, mmp_config, None,
-    )
-}
-
 /// Per-shard warm-start slice: probe memos for unchanged member views
 /// plus the initial worklist (the changed members only).
 struct ShardSeed {
@@ -798,7 +755,12 @@ struct ShardSeed {
 }
 
 /// The sharded MMP engine over a caller-owned index and plan (see
-/// [`shard_smp_planned`]).
+/// [`shard_smp_planned`]). The fixpoint equals the sequential MMP
+/// fixpoint ([`em_core::framework::mmp_with_order`]) for exact
+/// supermodular matchers (the same caveat as [`MmpConfig::incremental`]
+/// applies to approximate backends). Shards compute base matches and
+/// maximal messages; the coordinator owns the message store and the
+/// promotion loop.
 ///
 /// `warm`, when given, is the cross-run [`WarmStart`]: the coordinator
 /// adopts the previous fixpoint's message store (every carried message
@@ -900,8 +862,7 @@ pub fn shard_mmp_planned_opts(
     let collect_memos = warm.is_some();
     let plan_ref = plan;
     let index_ref = index;
-    // One grounding shared read-only by every shard, exactly like the
-    // round-based executor.
+    // One grounding shared read-only by every shard.
     let scorer = matcher.global_scorer(dataset);
     let scorer_ref: &(dyn GlobalScorer + Send + Sync) = scorer.as_ref();
     // `memo_capacity` bounds the run's total memoized probe entries, so
@@ -1018,28 +979,21 @@ pub fn shard_mmp_planned_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::{estimate_costs, SplitPolicy};
     use em_core::framework::{mmp_with_order, smp_with_order};
     use em_core::testing::paper_example;
 
-    fn config(shards: usize, policy: SplitPolicy) -> ShardConfig {
-        ShardConfig { shards, policy }
-    }
-
-    // Engine-hook shims with the deprecated wrappers' historical shape.
+    // Engine-hook shims that build the index and plan from estimates.
     fn run_shard_smp(
         matcher: &(dyn Matcher + Sync),
         dataset: &Dataset,
         cover: &Cover,
         evidence: &Evidence,
-        config: &ShardConfig,
+        shards: usize,
+        policy: SplitPolicy,
     ) -> (MatchOutput, ShardReport) {
         let index = DependencyIndex::build(dataset, cover);
-        let plan = ShardPlan::build(
-            &index,
-            config.shards,
-            &estimate_costs(dataset, cover),
-            config.policy,
-        );
+        let plan = ShardPlan::build(&index, shards, &estimate_costs(dataset, cover), policy);
         shard_smp_planned(matcher, dataset, cover, &index, &plan, evidence)
     }
 
@@ -1050,15 +1004,11 @@ mod tests {
         cover: &Cover,
         evidence: &Evidence,
         mmp_config: &MmpConfig,
-        config: &ShardConfig,
+        shards: usize,
+        policy: SplitPolicy,
     ) -> (MatchOutput, ShardReport) {
         let index = DependencyIndex::build(dataset, cover);
-        let plan = ShardPlan::build(
-            &index,
-            config.shards,
-            &estimate_costs(dataset, cover),
-            config.policy,
-        );
+        let plan = ShardPlan::build(&index, shards, &estimate_costs(dataset, cover), policy);
         shard_mmp_planned(
             matcher, dataset, cover, &index, &plan, evidence, mmp_config, None,
         )
@@ -1089,13 +1039,8 @@ mod tests {
         let sequential = smp(&matcher, &ds, &cover, &Evidence::none());
         for policy in [SplitPolicy::Pin, SplitPolicy::Split] {
             for shards in [1, 2, 3, 5] {
-                let (out, report) = run_shard_smp(
-                    &matcher,
-                    &ds,
-                    &cover,
-                    &Evidence::none(),
-                    &config(shards, policy),
-                );
+                let (out, report) =
+                    run_shard_smp(&matcher, &ds, &cover, &Evidence::none(), shards, policy);
                 assert_eq!(out.matches, sequential.matches, "shards={shards}");
                 assert_eq!(report.shards, shards);
                 assert!(report.epochs >= 2, "work epoch + confirming epoch");
@@ -1124,7 +1069,8 @@ mod tests {
                     &cover,
                     &Evidence::none(),
                     &MmpConfig::default(),
-                    &config(shards, policy),
+                    shards,
+                    policy,
                 );
                 assert_eq!(out.matches, expected, "shards={shards} policy={policy:?}");
                 assert_eq!(out.stats.rounds, report.epochs);
@@ -1146,7 +1092,8 @@ mod tests {
             &cover,
             &Evidence::none(),
             &mmp_config,
-            &config(3, SplitPolicy::Split),
+            3,
+            SplitPolicy::Split,
         );
         assert_eq!(out.matches, expected);
     }
@@ -1160,7 +1107,8 @@ mod tests {
             &cover,
             &Evidence::none(),
             &MmpConfig::default(),
-            &config(2, SplitPolicy::Split),
+            2,
+            SplitPolicy::Split,
         );
         assert_eq!(
             report
@@ -1172,7 +1120,10 @@ mod tests {
         );
         assert_eq!(report.neighborhood_costs.len(), cover.len());
         // Every neighborhood was measured at least once.
-        assert_eq!(report.measured.len(), cover.len());
+        assert!(report
+            .measured_totals(cover.len())
+            .iter()
+            .all(Option::is_some));
         assert!(report.est_skew >= 1.0 - 1e-9);
         assert!(report.busy_skew >= 1.0 - 1e-9);
         assert!(report.speedup >= 1.0 - 1e-9);
@@ -1199,10 +1150,14 @@ mod tests {
         let replanned = plan.replan_from(&index, &report);
         assert_eq!(replanned.shards.len(), plan.shards.len());
         assert_eq!(replanned.policy, plan.policy);
-        // The balancer's cost slice is now the measured busy times.
-        for &(id, busy) in &report.measured {
-            assert_eq!(replanned.costs[id.index()], (busy.as_nanos() as u64).max(1));
+        // The balancer's cost slice is now the measured busy times,
+        // summed per neighborhood over every epoch's visits.
+        let mut summed = vec![0u64; cover.len()];
+        for &(id, busy) in report.measured.iter().flatten() {
+            summed[id.index()] += busy.as_nanos() as u64;
         }
+        let expected_costs: Vec<u64> = summed.iter().map(|&c| c.max(1)).collect();
+        assert_eq!(replanned.costs, expected_costs);
         // Still a partition, and the fixpoint does not depend on the plan.
         let mut seen: Vec<NeighborhoodId> = replanned.shards.iter().flatten().copied().collect();
         seen.sort_unstable();
@@ -1219,6 +1174,42 @@ mod tests {
         );
         assert_eq!(again.matches, expected);
         assert_eq!(report2.shards, 2);
+    }
+
+    #[test]
+    fn per_epoch_trace_records_every_evaluation() {
+        let (ds, cover, matcher, _) = paper_example();
+        for shards in [1, 2, 3] {
+            let (smp_out, smp_report) = run_shard_smp(
+                &matcher,
+                &ds,
+                &cover,
+                &Evidence::none(),
+                shards,
+                SplitPolicy::Split,
+            );
+            let (mmp_out, mmp_report) = run_shard_mmp(
+                &matcher,
+                &ds,
+                &cover,
+                &Evidence::none(),
+                &MmpConfig::default(),
+                shards,
+                SplitPolicy::Split,
+            );
+            for (out, report) in [(smp_out, smp_report), (mmp_out, mmp_report)] {
+                assert_eq!(report.measured.len() as u64, report.epochs);
+                let recorded: u64 = report.measured.iter().map(|e| e.len() as u64).sum();
+                assert_eq!(recorded, out.stats.neighborhoods_processed);
+                // A cold run's first epoch visits every neighborhood of
+                // the plan.
+                let mut first: Vec<NeighborhoodId> =
+                    report.measured[0].iter().map(|&(id, _)| id).collect();
+                first.sort_unstable();
+                first.dedup();
+                assert_eq!(first, cover.ids().collect::<Vec<_>>(), "shards={shards}");
+            }
+        }
     }
 
     /// Silence the default panic message for injected faults so fault
@@ -1278,6 +1269,11 @@ mod tests {
                     assert_eq!(report.shards_recovered, 1);
                     assert_eq!(out.stats.shard_panics, 1);
                     assert_eq!(out.stats.shards_recovered, 1);
+                    // The replacement's visits are traced too, so the
+                    // per-epoch trace still accounts for every
+                    // evaluation the merged stats count.
+                    let recorded: u64 = report.measured.iter().map(|e| e.len() as u64).sum();
+                    assert_eq!(recorded, out.stats.neighborhoods_processed);
                 }
             }
         }
@@ -1475,7 +1471,8 @@ mod tests {
             &cover,
             &evidence,
             &MmpConfig::default(),
-            &config(2, SplitPolicy::Split),
+            2,
+            SplitPolicy::Split,
         );
         assert_eq!(sharded.matches, sequential.matches);
         assert!(smp_out.matches.is_subset(&sharded.matches));

@@ -2,18 +2,17 @@
 //! [`MatchSession`].
 //!
 //! The framework is one abstraction — run a black-box matcher on a
-//! cover, pass messages — but the workspace grew four divergent surfaces
-//! for it (the sequential free functions, the round-based parallel
-//! executor, the sharded runtime, and per-binary hand-wiring of feature
-//! cache → blocking → cover → matcher). This module folds them behind a
-//! single builder:
+//! cover, pass messages — but the workspace grew divergent surfaces for
+//! it (the sequential engine hooks, the sharded runtime, and per-binary
+//! hand-wiring of feature cache → blocking → cover → matcher). This
+//! module folds them behind a single builder:
 //!
 //! ```text
 //! Pipeline::new(dataset)
 //!     .blocking(BlockingConfig)      // or .cover(prebuilt_total_cover)
 //!     .matcher(MatcherChoice)        // MLN (exact | walksat), RULES, custom
 //!     .scheme(Scheme)                // NoMp | Smp | Mmp
-//!     .backend(Backend)              // Sequential | Parallel | Sharded
+//!     .backend(Backend)              // Sequential | Sharded
 //!     .incremental(bool)             // MMP probe replay
 //!     .memo_capacity(usize)          // probe-memo LRU bound
 //!     .build()?                      // validates → MatchSession
@@ -60,7 +59,6 @@ use em_core::{
     PairCache, PairSet, ProbabilisticMatcher, SimLevel,
 };
 use em_mln::{InferenceBackend, LocalSearchParams, MlnMatcher, MlnModel};
-use em_parallel::{execute_mmp, execute_no_mp, execute_smp, ParallelConfig, RoundTrace};
 use em_rules::{paper_rules, RulesMatcher};
 use em_shard::{
     estimate_costs, shard_mmp_planned_opts, shard_smp_planned_opts, ShardPlan, ShardReport,
@@ -94,12 +92,8 @@ pub enum Backend {
     /// One delta-driven driver on the calling thread.
     #[default]
     Sequential,
-    /// The round-based parallel executor (§6.3).
-    Parallel {
-        /// Worker threads per round.
-        workers: usize,
-    },
-    /// The epoch-fenced sharded runtime (`em-shard`).
+    /// The epoch-fenced sharded runtime (`em-shard`), the one
+    /// multi-threaded backend.
     Sharded {
         /// Shard count (one driver thread each).
         shards: usize,
@@ -182,11 +176,8 @@ pub enum PipelineError {
         matcher: &'static str,
     },
     /// NO-MP exchanges no messages, so the epoch-fenced sharded runtime
-    /// has nothing to do for it; use [`Backend::Parallel`] to spread
-    /// independent neighborhood runs over threads.
+    /// has nothing to do for it; run it on [`Backend::Sequential`].
     ShardedNoMp,
-    /// [`Backend::Parallel`] with zero workers.
-    ZeroWorkers,
     /// [`Backend::Sharded`] with zero shards.
     ZeroShards,
     /// A probe-memo capacity of zero can hold nothing; use
@@ -216,10 +207,9 @@ impl fmt::Display for PipelineError {
             ),
             PipelineError::ShardedNoMp => write!(
                 f,
-                "NO-MP has no messages to exchange; use Backend::Parallel instead of \
+                "NO-MP has no messages to exchange; use Backend::Sequential instead of \
                  Backend::Sharded"
             ),
-            PipelineError::ZeroWorkers => write!(f, "Backend::Parallel needs at least one worker"),
             PipelineError::ZeroShards => write!(f, "Backend::Sharded needs at least one shard"),
             PipelineError::ZeroMemoCapacity => write!(
                 f,
@@ -474,7 +464,7 @@ impl Pipeline {
 
     /// Replace the sharded runtime's knobs wholesale: fence-timeout
     /// budget, retry count, and the fault plan. Ignored by the
-    /// sequential and parallel backends (the invariant flag is
+    /// sequential backend (the invariant flag is
     /// session-wide and set by [`Pipeline::check_invariants`]).
     pub fn runtime_options(mut self, opts: RuntimeOptions) -> Self {
         self.runtime = opts;
@@ -529,7 +519,6 @@ impl Pipeline {
 
         // --- combination validation (every arm is a typed error) ---
         match backend {
-            Backend::Parallel { workers: 0 } => return Err(PipelineError::ZeroWorkers),
             Backend::Sharded { shards: 0, .. } => return Err(PipelineError::ZeroShards),
             Backend::Sharded { .. } if scheme == Scheme::NoMp => {
                 return Err(PipelineError::ShardedNoMp)
@@ -690,15 +679,8 @@ pub struct StageTimings {
 pub enum BackendReport {
     /// Sequential runs have nothing extra to say.
     Sequential,
-    /// The parallel executor's per-round evaluation trace (feeds the
-    /// grid simulator).
-    Parallel {
-        /// Worker threads used.
-        workers: usize,
-        /// Per-round, per-neighborhood measured costs.
-        trace: RoundTrace,
-    },
-    /// The sharded runtime's load/skew/makespan ledger.
+    /// The sharded runtime's load/skew/makespan ledger and per-epoch
+    /// evaluation trace (what the Table 1 grid simulator replays).
     Sharded(Box<ShardReport>),
 }
 
@@ -1058,7 +1040,8 @@ impl MatchSession {
         // balance history. The current plan (built from the last full
         // measurement or the estimate) stays in force instead.
         if let (Some(plan), Some(report)) = (&self.plan, &self.last_shard_report) {
-            if report.measured.len() == self.cover.len() {
+            let measured = report.measured_totals(self.cover.len());
+            if measured.iter().all(Option::is_some) {
                 let t0 = Instant::now();
                 self.plan = Some(plan.replan_from(&self.index, report));
                 self.pending_planning += t0.elapsed();
@@ -1192,36 +1175,6 @@ impl MatchSession {
                     driver.bank_certificates(&mut warm.certs);
                 }
                 (driver.finish(start), BackendReport::Sequential)
-            }
-            (scheme, Backend::Parallel { workers }) => {
-                let config = ParallelConfig { workers };
-                let (output, trace) = match scheme {
-                    Scheme::NoMp => execute_no_mp(
-                        self.matcher.as_matcher(),
-                        &self.dataset,
-                        &self.cover,
-                        evidence,
-                        &config,
-                    ),
-                    Scheme::Smp => execute_smp(
-                        self.matcher.as_matcher(),
-                        &self.dataset,
-                        &self.cover,
-                        Some(&self.index),
-                        evidence,
-                        &config,
-                    ),
-                    Scheme::Mmp => execute_mmp(
-                        self.probabilistic(),
-                        &self.dataset,
-                        &self.cover,
-                        Some(&self.index),
-                        evidence,
-                        &self.mmp_config,
-                        &config,
-                    ),
-                };
-                (output, BackendReport::Parallel { workers, trace })
             }
             (scheme, Backend::Sharded { .. }) => {
                 let plan = self.plan.as_ref().expect("sharded sessions hold a plan");

@@ -1,6 +1,6 @@
 //! End-to-end integration tests spanning every crate through the
 //! `em::Pipeline` front door: generation → blocking → cover → matchers →
-//! framework → evaluation → parallelism.
+//! framework → evaluation → sharding.
 
 use em::{Backend, Evidence, MatcherChoice, Pipeline, Scheme};
 use em_bench::prepare;
@@ -56,23 +56,6 @@ fn dblp_pipeline_schemes_are_sound_and_mmp_complete() {
     let report = soundness_completeness(&mmp.matches, &full);
     assert_eq!(report.soundness, 1.0);
     assert_eq!(report.completeness, 1.0);
-}
-
-#[test]
-fn parallel_equals_sequential_on_generated_workload() {
-    let w = prepare("dblp", 0.006, Some(13));
-    let sequential = session(&w, Scheme::Smp, Backend::Sequential).run();
-    for workers in [1, 4] {
-        let parallel = session(&w, Scheme::Smp, Backend::Parallel { workers }).run();
-        assert_eq!(parallel.matches, sequential.matches, "workers={workers}");
-        match parallel.backend {
-            em::BackendReport::Parallel { trace, .. } => assert!(!trace.is_empty()),
-            other => panic!("expected a parallel report, got {other:?}"),
-        }
-    }
-    let sequential_mmp = session(&w, Scheme::Mmp, Backend::Sequential).run();
-    let parallel_mmp = session(&w, Scheme::Mmp, Backend::Parallel { workers: 3 }).run();
-    assert_eq!(parallel_mmp.matches, sequential_mmp.matches);
 }
 
 #[test]

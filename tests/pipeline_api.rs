@@ -1,7 +1,6 @@
 //! The `em::Pipeline` surface: builder validation (every
-//! [`em::PipelineError`] variant is constructible), equivalence of the
-//! deprecated free-function wrappers with the sessions that replace
-//! them, and the warm-start/growth contract on small workloads.
+//! [`em::PipelineError`] variant is constructible) and the
+//! warm-start/growth contract on small workloads.
 
 use em::{
     Backend, DatasetDelta, DatasetGrowth, Evidence, MatcherChoice, Pipeline, PipelineError, Scheme,
@@ -143,14 +142,8 @@ fn sharded_no_mp_is_rejected() {
 }
 
 #[test]
-fn zero_workers_and_zero_shards_are_rejected() {
+fn zero_shards_are_rejected() {
     let (dataset, cover, _, _) = paper_example();
-    let err = Pipeline::new(dataset.clone())
-        .cover(cover.clone())
-        .backend(Backend::Parallel { workers: 0 })
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, PipelineError::ZeroWorkers), "{err}");
     let err = Pipeline::new(dataset)
         .cover(cover)
         .backend(sharded(0))
@@ -194,82 +187,6 @@ fn non_total_cover_is_rejected() {
     let partial = em::Cover::from_neighborhoods(vec![vec![EntityId(0), EntityId(1)]]);
     let err = Pipeline::new(dataset).cover(partial).build().unwrap_err();
     assert!(matches!(err, PipelineError::InvalidCover(_)), "{err}");
-}
-
-// ---------------------------------------------------------------------
-// Deprecated-wrapper equivalence: the old free functions and the
-// sessions that replace them produce byte-identical matches.
-// ---------------------------------------------------------------------
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_agree_with_sessions() {
-    let (dataset, cover, matcher, expected) = paper_example();
-    let none = Evidence::none();
-    let build = |scheme: Scheme, backend: Backend| {
-        Pipeline::new(dataset.clone())
-            .cover(cover.clone())
-            .matcher(MatcherChoice::custom_probabilistic(matcher.clone()))
-            .scheme(scheme)
-            .backend(backend)
-            .build()
-            .expect("coherent")
-            .run()
-    };
-
-    let nomp = em_core::framework::no_mp(&matcher, &dataset, &cover, &none);
-    assert_eq!(
-        nomp.matches,
-        build(Scheme::NoMp, Backend::Sequential).matches
-    );
-
-    let smp = em_core::framework::smp(&matcher, &dataset, &cover, &none);
-    assert_eq!(smp.matches, build(Scheme::Smp, Backend::Sequential).matches);
-
-    let mmp = em_core::framework::mmp(
-        &matcher,
-        &dataset,
-        &cover,
-        &none,
-        &em_core::framework::MmpConfig::default(),
-    );
-    assert_eq!(mmp.matches, expected);
-    assert_eq!(mmp.matches, build(Scheme::Mmp, Backend::Sequential).matches);
-
-    let config = em_parallel::ParallelConfig { workers: 2 };
-    let (psmp, _) = em_parallel::parallel_smp(&matcher, &dataset, &cover, &none, &config);
-    assert_eq!(
-        psmp.matches,
-        build(Scheme::Smp, Backend::Parallel { workers: 2 }).matches
-    );
-    let (pmmp, _) = em_parallel::parallel_mmp(
-        &matcher,
-        &dataset,
-        &cover,
-        &none,
-        &em_core::framework::MmpConfig::default(),
-        &config,
-    );
-    assert_eq!(
-        pmmp.matches,
-        build(Scheme::Mmp, Backend::Parallel { workers: 2 }).matches
-    );
-
-    let shard_config = em_shard::ShardConfig {
-        shards: 2,
-        policy: SplitPolicy::Split,
-    };
-    let (ssmp, _) = em_shard::shard_smp(&matcher, &dataset, &cover, &none, &shard_config);
-    assert_eq!(ssmp.matches, build(Scheme::Smp, sharded(2)).matches);
-    let (smmp, _) = em_shard::shard_mmp(
-        &matcher,
-        &dataset,
-        &cover,
-        &none,
-        &em_core::framework::MmpConfig::default(),
-        &shard_config,
-    );
-    assert_eq!(smmp.matches, build(Scheme::Mmp, sharded(2)).matches);
 }
 
 // ---------------------------------------------------------------------
@@ -401,11 +318,7 @@ fn provided_evidence_reaches_every_backend() {
     // Block the pair the paper example always matches.
     let blocked = Pair::new(EntityId(5), EntityId(6));
     let negative: em::PairSet = [blocked].into_iter().collect();
-    for backend in [
-        Backend::Sequential,
-        Backend::Parallel { workers: 2 },
-        sharded(2),
-    ] {
+    for backend in [Backend::Sequential, sharded(2)] {
         let out = Pipeline::new(dataset.clone())
             .cover(cover.clone())
             .matcher(MatcherChoice::custom_probabilistic(matcher.clone()))
